@@ -1,7 +1,9 @@
 //! # mvolap-cluster — quorum-replicated commit and leader election
 //!
-//! Supervises a primary plus N members as one replication group with
-//! majority-ack semantics on top of [`mvolap_replica`]:
+//! The one replication supervisor: a primary
+//! ([`mvolap_replica::PrimaryNode`]) plus N members run as one
+//! replication group with majority-ack semantics on top of the
+//! [`mvolap_replica`] primitives:
 //!
 //! - **Quorum commit** ([`ClusterSet::commit_quorum`]): a commit is
 //!   acknowledged only once it is fsynced locally *and* acked by a
@@ -18,10 +20,14 @@
 //!   deposed primary walks its log backwards against the new
 //!   primary's, cuts everything past the last CRC match (its
 //!   un-quorum'd suffix), and only then re-enters the group.
-//! - **Fault sweep** ([`cluster_sweep`]): kills the primary at every
-//!   I/O primitive and partitions a member at every transport step,
-//!   asserting that no quorum-acknowledged commit is ever lost and no
-//!   two primaries accept writes in the same epoch.
+//! - **Fault sweeps** ([`cluster_sweep`], [`cluster_sweep_net`]): kill
+//!   the primary or a member at every I/O primitive and fault a
+//!   member's link at every transport step — over the in-process
+//!   channel and over loopback TCP — asserting that no
+//!   quorum-acknowledged commit is ever lost, no two primaries accept
+//!   writes in the same epoch, and every surviving node is
+//!   byte-identical to the replay of its log.
+//!   [`membership_sweep`] does the same during reconfiguration.
 //! - **Async pump** ([`MemberPump`]): per-member shipping engines
 //!   that tail the primary's WAL and ship batched frame envelopes
 //!   with a bounded in-flight window; [`MemberPump::spawn`] runs one
@@ -47,7 +53,8 @@ pub use pump::{
 };
 pub use serve::LocalCluster;
 pub use set::{
-    ClusterConfig, ClusterEvent, ClusterSet, ClusterStats, PendingReconfig, QuorumPrimary,
-    RejoinOutcome,
+    ClusterConfig, ClusterEvent, ClusterSet, ClusterStats, PendingReconfig, RejoinOutcome,
 };
-pub use sweep::{cluster_sweep, membership_sweep, ClusterSweepOutcome, MembershipSweepOutcome};
+pub use sweep::{
+    cluster_sweep, cluster_sweep_net, membership_sweep, ClusterSweepOutcome, MembershipSweepOutcome,
+};

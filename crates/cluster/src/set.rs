@@ -4,14 +4,13 @@
 //! whose deposed primaries rejoin by truncating their un-quorum'd
 //! suffix.
 //!
-//! [`ClusterSet`] mirrors the shape of
-//! [`mvolap_replica::ReplicaSet`] — single-threaded, transport-driven,
-//! time counted in ticks — but replaces the plain acknowledgement flow
-//! with the quorum envelope: members answer replication with
-//! [`ReplicaMsg::QuorumAck`], the primary feeds each member's
-//! durably-synced position into its [`GroupCommit`] watermark, and a
-//! commit is *cluster-acknowledged* only once
-//! [`GroupCommit::quorum_lsn`] passes it.
+//! [`ClusterSet`] is the one deterministic replication supervisor —
+//! single-threaded, transport-driven, time counted in ticks. Members
+//! answer replication with [`ReplicaMsg::QuorumAck`], the primary (a
+//! [`PrimaryNode`]) feeds each member's durably-synced position into
+//! its [`GroupCommit`] watermark, and a commit is
+//! *cluster-acknowledged* only once [`GroupCommit::quorum_lsn`] passes
+//! it. A warm standby is simply a one-member group.
 //!
 //! # Election
 //!
@@ -27,12 +26,14 @@
 //! primary's log) before it serves, votes or stands again — that is
 //! [`ClusterSet::rejoin_member`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use mvolap_core::Tmd;
 use mvolap_durable::{DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord};
-use mvolap_replica::{Follower, ReplicaError, ReplicaMsg, ReplicaTransport, TailSource, WalTailer};
+use mvolap_replica::{
+    Follower, PrimaryNode, ReplicaError, ReplicaMsg, ReplicaTransport, WalTailer,
+};
 
 /// Inbox name the supervisor collects election replies on; never a
 /// member name.
@@ -59,118 +60,6 @@ impl Default for ClusterConfig {
             heartbeat_miss_limit: 3,
             commit_ticks: 64,
         }
-    }
-}
-
-/// The write-accepting node of a quorum group: a [`GroupCommit`] (so
-/// server sessions can share it) plus the epoch/fencing discipline of
-/// [`mvolap_replica::PrimaryNode`].
-#[derive(Debug)]
-pub struct QuorumPrimary {
-    name: String,
-    group: GroupCommit,
-    epoch: u64,
-    fenced: bool,
-}
-
-impl QuorumPrimary {
-    /// Wraps a group-commit handle as primary at `epoch`.
-    pub fn new(name: impl Into<String>, group: GroupCommit, epoch: u64) -> QuorumPrimary {
-        QuorumPrimary {
-            name: name.into(),
-            group,
-            epoch,
-            fenced: false,
-        }
-    }
-
-    /// Node name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether this node has been fenced.
-    pub fn is_fenced(&self) -> bool {
-        self.fenced
-    }
-
-    /// The shared group-commit handle (clone it into server sessions).
-    pub fn group(&self) -> &GroupCommit {
-        &self.group
-    }
-
-    /// Store directory (the log the group tails).
-    pub fn dir(&self) -> PathBuf {
-        self.group.with_store(|s| s.dir().to_path_buf())
-    }
-
-    /// A tailer over this node's log.
-    pub fn tailer(&self) -> WalTailer {
-        WalTailer::new(self.dir())
-    }
-
-    /// Log head (next LSN).
-    pub fn wal_position(&self) -> u64 {
-        self.group.wal_position()
-    }
-
-    /// Highest LSN below which every record is majority-durable.
-    pub fn quorum_lsn(&self) -> u64 {
-        self.group.quorum_lsn()
-    }
-
-    /// Current schema, cloned out of the shared store.
-    pub fn schema(&self) -> Tmd {
-        self.group.with_store(|s| s.schema().clone())
-    }
-
-    /// Journals and locally fsyncs one record — refused once fenced.
-    /// Quorum acknowledgement is the *supervisor's* business
-    /// ([`ClusterSet::commit_quorum`]); this only establishes local
-    /// durability.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Fenced`] after fencing; otherwise as
-    /// [`GroupCommit::commit`].
-    pub fn commit(&mut self, record: WalRecord) -> Result<u64, ReplicaError> {
-        if self.fenced {
-            return Err(ReplicaError::Fenced { epoch: self.epoch });
-        }
-        Ok(self.group.commit(record)?)
-    }
-
-    /// Checkpoints the store — refused once fenced.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Fenced`] after fencing; otherwise as
-    /// [`DurableTmd::checkpoint`].
-    pub fn checkpoint(&mut self) -> Result<(), ReplicaError> {
-        if self.fenced {
-            return Err(ReplicaError::Fenced { epoch: self.epoch });
-        }
-        self.group.with_store_mut(|s| s.checkpoint())?;
-        Ok(())
-    }
-
-    /// Fences this node at `epoch`: every further write is refused.
-    pub fn fence(&mut self, epoch: u64) {
-        self.fenced = true;
-        self.epoch = epoch;
-    }
-
-    /// Adopts a newer epoch without fencing — the supervisor re-asserts
-    /// a standing primary after an aborted election, so members that
-    /// granted a vote (and adopted the new epoch) accept its
-    /// heartbeats again.
-    pub fn adopt_epoch(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
     }
 }
 
@@ -324,8 +213,8 @@ pub struct ClusterSet<T: ReplicaTransport> {
     /// an add counts here only once its learner is promoted, a remove
     /// counts immediately. Elections and rejoins do not change it.
     group_size: usize,
-    primary: Option<QuorumPrimary>,
-    retired: Option<QuorumPrimary>,
+    primary: Option<PrimaryNode>,
+    retired: Option<PrimaryNode>,
     members: BTreeMap<String, MemberLink>,
     /// The one membership change in flight, if any; a second is
     /// refused with [`DurableError::ReconfigInFlight`].
@@ -362,7 +251,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             transport,
             epoch: 0,
             group_size: 1,
-            primary: Some(QuorumPrimary::new("primary", group, 0)),
+            primary: Some(PrimaryNode::new("primary", group, 0)),
             retired: None,
             members: BTreeMap::new(),
             pending_reconfig: None,
@@ -382,7 +271,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         );
         self.group_size += 1;
         if let Some(p) = &self.primary {
-            p.group.configure_quorum(self.group_size);
+            p.group().configure_quorum(self.group_size);
         }
     }
 
@@ -438,8 +327,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             addr: addr.to_string(),
         })?;
         let p = self.primary.as_ref().expect("primary exists");
-        p.group.configure_quorum_at(lsn, self.group_size + 1);
-        p.group.add_learner(name);
+        p.group().configure_quorum_at(lsn, self.group_size + 1);
+        p.group().add_learner(name);
         let dir = self.base.join(name);
         let mut link = MemberLink::new(Follower::create(name, dir, self.opts.clone(), io));
         link.learner = true;
@@ -487,8 +376,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         })?;
         self.group_size -= 1;
         let p = self.primary.as_ref().expect("primary exists");
-        p.group.configure_quorum_at(lsn, self.group_size);
-        p.group.ban_member(name);
+        p.group().configure_quorum_at(lsn, self.group_size);
+        p.group().ban_member(name);
         self.members.remove(name);
         self.pending_reconfig = Some(PendingReconfig {
             lsn,
@@ -518,7 +407,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         let Some(pending) = self.pending_reconfig.clone() else {
             return;
         };
-        let Some(watermark) = self.primary.as_ref().map(QuorumPrimary::quorum_lsn) else {
+        let Some(watermark) = self.primary.as_ref().map(PrimaryNode::quorum_lsn) else {
             return;
         };
         if pending.add {
@@ -529,7 +418,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                 let link = self.members.get_mut(&pending.member).expect("checked");
                 link.learner = false;
                 if let Some(p) = &self.primary {
-                    p.group.promote_voter(&pending.member);
+                    p.group().promote_voter(&pending.member);
                 }
                 self.group_size += 1;
                 self.pending_reconfig = None;
@@ -548,7 +437,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// # Errors
     ///
     /// [`ReplicaError::NotPrimary`] without a live primary; otherwise
-    /// as [`QuorumPrimary::commit`].
+    /// as [`PrimaryNode::commit`].
     pub fn commit_local(&mut self, record: WalRecord) -> Result<u64, ReplicaError> {
         self.primary
             .as_mut()
@@ -595,7 +484,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// # Errors
     ///
     /// [`ReplicaError::NotPrimary`] without a live primary; otherwise
-    /// as [`QuorumPrimary::checkpoint`].
+    /// as [`PrimaryNode::checkpoint`].
     pub fn checkpoint(&mut self) -> Result<(), ReplicaError> {
         self.primary
             .as_mut()
@@ -606,7 +495,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// Removes the primary, simulating its crash or loss; returns the
     /// node for inspection. Drop it before
     /// [`ClusterSet::rejoin_member`] reopens its directory.
-    pub fn kill_primary(&mut self) -> Option<QuorumPrimary> {
+    pub fn kill_primary(&mut self) -> Option<PrimaryNode> {
         self.leaderless_rounds = 0;
         self.primary.take()
     }
@@ -690,7 +579,13 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                     next_lsn,
                     last_crc,
                     ..
-                } => self.answer_hello(&node, next_lsn, last_crc)?,
+                } => {
+                    let view = self.primary.as_ref().expect("primary exists").hello_view();
+                    // A serving-side read failure skips the round.
+                    if let Ok(replies) = view.answer(next_lsn, last_crc, self.cfg.batch_frames) {
+                        self.ship(&node, &replies)?;
+                    }
+                }
                 ReplicaMsg::QuorumAck {
                     node,
                     epoch,
@@ -716,22 +611,12 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                     // or lying ack cannot advance the quorum watermark
                     // (or the routing positions) beyond records that
                     // exist.
-                    let head = self.primary.as_ref().map(QuorumPrimary::wal_position);
-                    if let Some(p) = &self.primary {
-                        p.group
-                            .member_synced(&node, synced_lsn.min(p.wal_position()));
-                    }
+                    let p = self.primary.as_ref().expect("primary exists");
+                    let head = p.wal_position();
+                    p.group().member_synced(&node, synced_lsn.min(head));
                     if let Some(link) = self.members.get_mut(&node) {
-                        let cap = head.unwrap_or(u64::MAX);
-                        link.applied_lsn = link.applied_lsn.max(applied_lsn.min(cap));
-                        link.synced_lsn = link.synced_lsn.max(synced_lsn.min(cap));
-                    }
-                }
-                // Plain acks (from a ReplicaSet-era peer) still update
-                // read routing, but never the quorum watermark.
-                ReplicaMsg::Ack { node, next_lsn, .. } => {
-                    if let Some(link) = self.members.get_mut(&node) {
-                        link.applied_lsn = link.applied_lsn.max(next_lsn);
+                        link.applied_lsn = link.applied_lsn.max(applied_lsn.min(head));
+                        link.synced_lsn = link.synced_lsn.max(synced_lsn.min(head));
                     }
                 }
                 // Stray traffic (old votes, fences echoing); ignore.
@@ -741,61 +626,19 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         Ok(())
     }
 
-    /// Answers one member hello: divergence gate, then heartbeat plus
-    /// frames or a snapshot.
-    fn answer_hello(&mut self, node: &str, next_lsn: u64, last_crc: u32) -> Result<(), bool> {
-        let primary = self.primary.as_ref().expect("primary exists");
-        let epoch = self.epoch;
-        let head = primary.wal_position();
-        let tailer = primary.tailer();
-        if let Err(ReplicaError::Diverged {
-            lsn,
-            expected_crc,
-            got_crc,
-        }) = tailer.verify_position(next_lsn, last_crc, head)
-        {
-            self.transport
-                .send(
-                    node,
-                    &ReplicaMsg::Diverged {
-                        epoch,
-                        lsn,
-                        expected_crc,
-                        got_crc,
-                    },
-                )
-                .map_err(|_| true)?;
-            return Ok(());
-        }
-        self.transport
-            .send(
-                node,
-                &ReplicaMsg::Heartbeat {
-                    epoch,
-                    next_lsn: head,
-                },
-            )
-            .map_err(|_| true)?;
-        if next_lsn >= head {
-            return Ok(());
-        }
-        let reply = match tailer.fetch(next_lsn, self.cfg.batch_frames) {
-            Ok(TailSource::Frames(frames)) => {
-                self.stats.frames_shipped += frames.len() as u64;
-                ReplicaMsg::Frames { epoch, frames }
-            }
-            Ok(TailSource::Snapshot { next_lsn, snapshot }) => {
-                self.stats.snapshots_served += 1;
-                ReplicaMsg::Snapshot {
-                    epoch,
-                    next_lsn,
-                    snapshot,
+    /// Sends a hello's replies to member `node`, counting the frames
+    /// and snapshots shipped.
+    fn ship(&mut self, node: &str, replies: &[ReplicaMsg]) -> Result<(), bool> {
+        for reply in replies {
+            match reply {
+                ReplicaMsg::Frames { frames, .. } => {
+                    self.stats.frames_shipped += frames.len() as u64;
                 }
+                ReplicaMsg::Snapshot { .. } => self.stats.snapshots_served += 1,
+                _ => {}
             }
-            // Serving-side read problems surface as a skipped round.
-            Err(_) => return Ok(()),
-        };
-        self.transport.send(node, &reply).map_err(|_| true)?;
+            self.transport.send(node, reply).map_err(|_| true)?;
+        }
         Ok(())
     }
 
@@ -899,13 +742,14 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                 required,
             });
         };
-        let mut votes = 1usize; // The candidate stands for itself.
-                                // Voluntary yield: a *standing* primary being deposed
-                                // (operator-initiated failover) contributes its vote — but only
-                                // when the candidate's log covers the primary's quorum
-                                // watermark, so no quorum-acknowledged record can be lost by
-                                // the handover. An unsafe candidate simply does not get the
-                                // yield, and the election falls short.
+        // The candidate stands for itself.
+        let mut votes = 1usize;
+        // Voluntary yield: a *standing* primary being deposed
+        // (operator-initiated failover) contributes its vote — but only
+        // when the candidate's log covers the primary's quorum
+        // watermark, so no quorum-acknowledged record can be lost by
+        // the handover. An unsafe candidate simply does not get the
+        // yield, and the election falls short.
         if let Some(p) = &self.primary {
             if cand_lsn >= p.quorum_lsn() {
                 votes += 1;
@@ -928,6 +772,9 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             }
             let _ = self.pump_member(name, None, &mut events);
         }
+        // Each voter counts once, however often its grant arrives (a
+        // transport may redeliver a message it retried).
+        let mut granted = BTreeSet::new();
         while let Ok(Some(msg)) = self.transport.recv(SUPERVISOR) {
             if let ReplicaMsg::VoteGrant {
                 node,
@@ -942,10 +789,11 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                     && candidate == cand_name
                     && self.members.get(&node).is_some_and(|m| !m.learner)
                 {
-                    votes += 1;
+                    granted.insert(node);
                 }
             }
         }
+        votes += granted.len();
         if votes < required {
             self.stats.failed_elections += 1;
             self.reassert_primary(new_epoch);
@@ -1003,7 +851,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             }
             self.retired = Some(old);
         }
-        self.primary = Some(QuorumPrimary::new(cand_name.clone(), group, new_epoch));
+        self.primary = Some(PrimaryNode::new(cand_name.clone(), group, new_epoch));
         self.leaderless_rounds = 0;
         self.stats.elections += 1;
         // An in-flight reconfiguration whose journaled record did not
@@ -1189,7 +1037,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             Follower::create(name, dir, self.opts.clone(), Io::plain()),
         );
         if let Some(p) = &self.primary {
-            p.group.forget_member(name);
+            p.group().forget_member(name);
         }
         Ok(())
     }
@@ -1230,23 +1078,23 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     }
 
     /// The live primary.
-    pub fn primary(&self) -> Option<&QuorumPrimary> {
+    pub fn primary(&self) -> Option<&PrimaryNode> {
         self.primary.as_ref()
     }
 
     /// The live primary, mutable.
-    pub fn primary_mut(&mut self) -> Option<&mut QuorumPrimary> {
+    pub fn primary_mut(&mut self) -> Option<&mut PrimaryNode> {
         self.primary.as_mut()
     }
 
     /// The most recently deposed primary.
-    pub fn retired(&self) -> Option<&QuorumPrimary> {
+    pub fn retired(&self) -> Option<&PrimaryNode> {
         self.retired.as_ref()
     }
 
     /// The most recently deposed primary, mutable (for fencing
     /// probes).
-    pub fn retired_mut(&mut self) -> Option<&mut QuorumPrimary> {
+    pub fn retired_mut(&mut self) -> Option<&mut PrimaryNode> {
         self.retired.as_mut()
     }
 

@@ -1,38 +1,60 @@
-//! Fault-injected quorum sweep: the cluster subsystem's correctness
-//! argument, executable.
+//! Fault-injected quorum sweeps: the replication subsystem's
+//! correctness argument, executable.
 //!
-//! [`cluster_sweep`] extends the replication sweep to the quorum
-//! setting. It runs the seeded workload
+//! [`cluster_sweep`] runs the seeded workload
 //! ([`mvolap_durable::generate`]) on a primary with two members under
 //! majority-ack commit, then re-runs it once per injection point
-//! across two fault classes:
+//! across three fault classes:
 //!
-//! 1. **Primary crashes** — the primary's I/O layer crashes at every
-//!    I/O primitive. The survivors must elect a new primary
-//!    deterministically, every *quorum-acknowledged* commit must be
-//!    present (same LSN, same frame CRC) on the winner, and the
-//!    crashed primary must rejoin by truncating any un-quorum'd
+//! 1. **Primary crashes** — the primary's I/O layer crashes (torn
+//!    writes included) at every I/O primitive. The survivors must
+//!    elect a new primary deterministically, every *quorum-acknowledged*
+//!    commit must be present (same LSN, same frame CRC) on the winner,
+//!    and the crashed primary must rejoin by truncating any un-quorum'd
 //!    suffix before replicating again.
-//! 2. **Partitions** — member `m1` is cut off at every transport
-//!    step. A healing outage must reconverge byte-identically; a
-//!    permanent partition must still quorum through the surviving
-//!    member, and an operator failover must fence the deposed primary
-//!    so it refuses writes in the new epoch — the dual-primary probe.
+//! 2. **Member crashes** — member `m1`'s I/O layer crashes at every
+//!    primitive; the supervisor restarts it from its own directory and
+//!    it must reconverge byte-identically while the quorum rides on
+//!    `m2`.
+//! 3. **Link faults** — `m1`'s link fails at every transport step. A
+//!    healing outage must reconverge byte-identically; a permanent
+//!    partition must still quorum through the surviving member, and an
+//!    operator failover must fence the deposed primary so it refuses
+//!    writes in the new epoch — the dual-primary probe.
 //!
-//! A staged quorum-loss scenario additionally proves a leaderless,
-//! partitioned group refuses to elect ([`ReplicaError::NoQuorum`])
-//! rather than risk two histories, then elects automatically once the
-//! partition heals.
+//! Every check uses one byte-identity oracle: the node's state
+//! serialised, and the reference query's answer fingerprinted, against
+//! the in-memory replay of the same log prefix.
+//!
+//! The fault-free run also serves a **late joiner**: a member added
+//! after a pruning checkpoint must bootstrap from a snapshot. Two
+//! staged scenarios run once, on the channel transport: **quorum
+//! loss** (a leaderless, partitioned group refuses to elect with
+//! [`ReplicaError::NoQuorum`], then elects on its own once the
+//! partition heals) and **divergence** (a forked history is refused by
+//! the primary-side gate and by the member's duplicate check, and the
+//! refusing member is never elected).
+//!
+//! The per-point classes are generic over how the transport is built
+//! (`TransportLab`): [`cluster_sweep`] runs them over the in-process
+//! channel, [`cluster_sweep_net`] over loopback TCP — a
+//! [`MsgRouter`] per run, with `m1`'s link passing through a
+//! [`FaultProxy`] that drops or stalls its connections.
 
 use std::path::Path;
 
 use mvolap_core::persist::write_tmd;
-use mvolap_core::Tmd;
+use mvolap_core::{MemberVersionId, Tmd};
 use mvolap_durable::fault::{generate, Step, Workload};
 use mvolap_durable::{
-    CheckpointPolicy, DurableError, FaultPlan, GroupConfig, Io, Options, TimeSource, WalRecord,
+    CheckpointPolicy, DurableError, DurableTmd, FaultPlan, GroupCommit, GroupConfig, Io, Options,
+    TimeSource, WalRecord,
 };
-use mvolap_replica::{ReplicaError, ReplicaMsg, ReplicaTransport, TransportError};
+use mvolap_replica::{
+    ChannelTransport, FaultProxy, Follower, MsgRouter, NetAddr, NetConfig, PrimaryNode, ProxyFault,
+    ReplicaError, ReplicaMsg, ReplicaTransport, TcpTransport, TransportError,
+};
+use mvolap_temporal::Instant;
 
 use crate::set::{ClusterConfig, ClusterEvent, ClusterSet, RejoinOutcome};
 
@@ -50,14 +72,20 @@ const DRAIN_TICKS: usize = 128;
 /// silent member) so convergence is reachable within the drain budget.
 const OUTAGE_OPS: u64 = 32;
 
-/// What a [`cluster_sweep`] established.
+/// The member whose I/O and link the per-point classes fault.
+const CUT: &str = "m1";
+
+/// What a [`cluster_sweep`] or [`cluster_sweep_net`] established.
 #[derive(Debug, Default)]
 pub struct ClusterSweepOutcome {
     /// Total injection points exercised across all classes.
     pub injection_points: u64,
     /// Runs where the primary's I/O crashed.
     pub primary_crashes: u64,
-    /// Runs with an injected partition (healing or permanent).
+    /// Runs where member `m1`'s I/O crashed and it was restarted.
+    pub member_crashes: u64,
+    /// Runs with a fault on `m1`'s link (a partition on the channel, a
+    /// dropped or stalled socket over TCP), healing or permanent.
     pub partitions: u64,
     /// Healing outages that reconverged exactly.
     pub healed_outages: u64,
@@ -79,12 +107,16 @@ pub struct ClusterSweepOutcome {
     /// Commits that timed out waiting for quorum (locally durable,
     /// never cluster-acknowledged).
     pub unreplicated_commits: u64,
+    /// Snapshot bootstraps served (pruned-log path).
+    pub snapshots_served: u64,
+    /// Typed refusals observed in the divergence scenario.
+    pub divergence_refusals: u64,
     /// Logical records in the workload.
     pub records: usize,
 }
 
-/// Store options matching the durable and replica sweeps: tiny
-/// segments so rotation and pruning happen often, manual checkpoints.
+/// Store options shared by every sweep: tiny segments so rotation and
+/// pruning happen often, manual checkpoints.
 fn sweep_options() -> Options {
     Options {
         segment_bytes: 2048,
@@ -136,15 +168,74 @@ fn fingerprint(tmd: &Tmd) -> Result<Vec<String>, String> {
         .collect())
 }
 
+/// The byte-identity oracle: `got` must serialise exactly like
+/// `expect` and answer the reference query identically.
+fn assert_identical(got: &Tmd, expect: &Tmd, what: &str) -> Result<(), String> {
+    if serialise(got) != serialise(expect) {
+        return Err(format!("{what}: state is not byte-identical"));
+    }
+    if fingerprint(got)? != fingerprint(expect)? {
+        return Err(format!("{what}: answers the reference query differently"));
+    }
+    Ok(())
+}
+
+/// The workload's records, checkpoints skipped.
+fn ops(workload: &Workload) -> Vec<WalRecord> {
+    workload
+        .steps
+        .iter()
+        .filter_map(|s| match s {
+            Step::Op(r) => Some(r.clone()),
+            Step::Checkpoint => None,
+        })
+        .collect()
+}
+
+/// The state after every prefix of the workload, by record count.
+fn prefix_states(workload: &Workload) -> Result<Vec<Tmd>, String> {
+    let mut state = workload.seed_schema.clone();
+    let mut prefixes = vec![state.clone()];
+    for record in ops(workload) {
+        record
+            .apply(&mut state)
+            .map_err(|e| format!("prefix replay failed: {e}"))?;
+        prefixes.push(state.clone());
+    }
+    Ok(prefixes)
+}
+
+/// A valid evolution no workload contains: a new department `name`
+/// under the first division, far in the future.
+fn fresh_department(workload: &Workload, name: String) -> WalRecord {
+    WalRecord::Create {
+        dim: workload.org,
+        name,
+        level: Some("Department".to_string()),
+        at: Instant::ym(2030, 1),
+        parents: vec![MemberVersionId(0)],
+    }
+}
+
+/// The node a message speaks for, if it names one.
+fn sender(msg: &ReplicaMsg) -> Option<&str> {
+    match msg {
+        ReplicaMsg::Hello { node, .. }
+        | ReplicaMsg::Ack { node, .. }
+        | ReplicaMsg::QuorumAck { node, .. }
+        | ReplicaMsg::VoteGrant { node, .. } => Some(node),
+        _ => None,
+    }
+}
+
 /// A channel transport that silently cuts traffic to and from a set of
 /// nodes once a global operation counter passes `from_step`, for
-/// `outage_len` cut operations (`u64::MAX` = permanent partition).
-/// Unlike [`mvolap_replica::FaultyTransport`] the cut is *per node*:
-/// the rest of the group keeps replicating, which is what makes the
-/// quorum path observable.
+/// `outage_len` cut operations (`u64::MAX` = permanent partition). The
+/// cut is *per node*: the rest of the group keeps replicating, which is
+/// what makes the quorum path observable.
 #[derive(Debug)]
 struct MemberPartition {
-    inner: mvolap_replica::ChannelTransport,
+    inner: ChannelTransport,
     cut: Vec<String>,
     from_step: u64,
     outage_len: u64,
@@ -155,7 +246,7 @@ struct MemberPartition {
 impl MemberPartition {
     fn new(cut: &[&str], from_step: u64, outage_len: u64) -> MemberPartition {
         MemberPartition {
-            inner: mvolap_replica::ChannelTransport::new(),
+            inner: ChannelTransport::new(),
             cut: cut.iter().map(|s| (*s).to_string()).collect(),
             from_step,
             outage_len,
@@ -184,18 +275,10 @@ impl MemberPartition {
 
 impl ReplicaTransport for MemberPartition {
     fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
-        // A partitioned member can neither be reached nor speak: its
-        // own outbound traffic (hellos the supervisor sends on its
-        // behalf carry its name as sender via the message itself) is
-        // modelled by cutting everything addressed to or naming it.
-        let from = match msg {
-            ReplicaMsg::Hello { node, .. }
-            | ReplicaMsg::Ack { node, .. }
-            | ReplicaMsg::QuorumAck { node, .. }
-            | ReplicaMsg::VoteGrant { node, .. } => node.as_str(),
-            _ => "",
-        };
-        if self.faulted(to) || (!from.is_empty() && self.faulted(from)) {
+        // A partitioned member can neither be reached nor speak: the
+        // hellos and acks the supervisor relays on its behalf name it
+        // as sender, so everything addressed to or naming it is cut.
+        if self.faulted(to) || sender(msg).is_some_and(|from| self.faulted(from)) {
             return Ok(()); // Silently dropped.
         }
         self.inner.send(to, msg)
@@ -213,28 +296,205 @@ impl ReplicaTransport for MemberPartition {
     }
 }
 
+/// Builds the transports a sweep runs over. The per-point classes are
+/// generic over this, so the identical invariants run over the
+/// in-process channel and over real sockets.
+trait TransportLab {
+    /// The transport this lab builds.
+    type T: ReplicaTransport;
+
+    /// A fault-free transport.
+    fn clean(&self) -> Result<Self::T, String>;
+
+    /// Injection points on `m1`'s link, counted on the transport of a
+    /// fault-free run.
+    fn link_points(&self, clean: &Self::T) -> u64;
+
+    /// `m1`'s link fails from point `j` on, then heals.
+    fn outage(&self, j: u64) -> Result<Self::T, String>;
+
+    /// `m1`'s link fails from point `j` on, for good.
+    fn partition(&self, j: u64) -> Result<Self::T, String>;
+}
+
+/// The in-process lab: channel transports cut by [`MemberPartition`].
+/// Every transport step of the fault-free run is an injection point.
+struct ChannelLab;
+
+impl TransportLab for ChannelLab {
+    type T = MemberPartition;
+
+    fn clean(&self) -> Result<MemberPartition, String> {
+        Ok(MemberPartition::clean())
+    }
+
+    fn link_points(&self, clean: &MemberPartition) -> u64 {
+        clean.steps()
+    }
+
+    fn outage(&self, j: u64) -> Result<MemberPartition, String> {
+        Ok(MemberPartition::new(&[CUT], j, OUTAGE_OPS))
+    }
+
+    fn partition(&self, j: u64) -> Result<MemberPartition, String> {
+        Ok(MemberPartition::new(&[CUT], j, u64::MAX))
+    }
+}
+
+/// The loopback-TCP lab: every run gets its own [`MsgRouter`] on an
+/// ephemeral port. The supervisor reaches it over two connections:
+/// everything to, from or about `m1` rides one, and in faulted runs
+/// that one passes through a [`FaultProxy`] counting its request
+/// frames. Every request frame of `m1`'s link in the fault-free run is
+/// an injection point. A healing outage stalls a few requests past the
+/// client's read timeout — how a hung link presents over a socket; a
+/// permanent partition drops every connection on the spot.
+struct TcpLab;
+
+/// The client's read timeout on the TCP lab's links: comfortably above
+/// a loopback round trip, comfortably below anyone's patience — a
+/// stalled request must time out fast.
+const READ_TIMEOUT_MS: u64 = 50;
+
+/// How long a stalled proxy connection stays silent before closing;
+/// longer than [`READ_TIMEOUT_MS`], so the client sees a timeout.
+const STALL_MS: u64 = 150;
+
+/// Request frames a healing TCP outage stalls. With one reconnect per
+/// request, three fail one operation outright and stall the next
+/// before the link heals.
+const STALLED_FRAMES: u64 = 3;
+
+impl TcpLab {
+    fn cfg() -> NetConfig {
+        NetConfig {
+            connect_timeout_ms: 2_000,
+            read_timeout_ms: READ_TIMEOUT_MS,
+            write_timeout_ms: 2_000,
+            reconnect_attempts: 1,
+            backoff_start_ms: 1,
+        }
+    }
+
+    fn build(&self, fault: Option<(u64, u64, ProxyFault)>) -> Result<NetSweepTransport, String> {
+        let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into()))
+            .map_err(|e| format!("sweep router spawn: {e}"))?;
+        let (proxy, link_addr) = match fault {
+            Some((j, outage_len, kind)) => {
+                let plan = FaultPlan::crash_after(j, 0);
+                let p = FaultProxy::spawn(router.addr().clone(), plan, outage_len, kind)
+                    .map_err(|e| format!("sweep proxy spawn: {e}"))?;
+                let a = p.addr().clone();
+                (Some(p), a)
+            }
+            None => (None, router.addr().clone()),
+        };
+        Ok(NetSweepTransport {
+            direct: TcpTransport::connect(router.addr().clone(), TcpLab::cfg()),
+            link: TcpTransport::connect(link_addr, TcpLab::cfg()),
+            _proxy: proxy,
+            _router: router,
+        })
+    }
+}
+
+impl TransportLab for TcpLab {
+    type T = NetSweepTransport;
+
+    fn clean(&self) -> Result<NetSweepTransport, String> {
+        self.build(None)
+    }
+
+    fn link_points(&self, clean: &NetSweepTransport) -> u64 {
+        clean.link.steps()
+    }
+
+    fn outage(&self, j: u64) -> Result<NetSweepTransport, String> {
+        self.build(Some((j, STALLED_FRAMES, ProxyFault::Stall(STALL_MS))))
+    }
+
+    fn partition(&self, j: u64) -> Result<NetSweepTransport, String> {
+        self.build(Some((j, u64::MAX, ProxyFault::Drop)))
+    }
+}
+
+/// Two [`TcpTransport`]s into one router — `m1`'s link and everyone
+/// else's — bundled with the loopback infrastructure that must outlive
+/// them; dropping it per run tears the sockets and threads down so a
+/// long sweep never accumulates them.
+struct NetSweepTransport {
+    direct: TcpTransport,
+    link: TcpTransport,
+    _proxy: Option<FaultProxy>,
+    _router: MsgRouter,
+}
+
+impl ReplicaTransport for NetSweepTransport {
+    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
+        if to == CUT || sender(msg) == Some(CUT) {
+            self.link.send(to, msg)
+        } else {
+            self.direct.send(to, msg)
+        }
+    }
+
+    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
+        if node == CUT {
+            self.link.recv(node)
+        } else {
+            self.direct.recv(node)
+        }
+    }
+
+    fn steps(&self) -> u64 {
+        self.direct.steps() + self.link.steps()
+    }
+}
+
 /// Result of one clustered workload run.
-struct ClusterRun {
+struct ClusterRun<T: ReplicaTransport> {
     /// The set, unless the primary crashed while bootstrapping.
-    set: Option<ClusterSet<MemberPartition>>,
+    set: Option<ClusterSet<T>>,
     /// Every commit the cluster *acknowledged* at quorum: `(lsn, frame
     /// crc)` — the records no failure is allowed to lose.
     acked: Vec<(u64, u32)>,
     committed: u64,
     unreplicated: u64,
     primary_crashed: bool,
+    /// Times `m1` crashed and was restarted from its directory.
+    member_restarts: u64,
+}
+
+/// Restarts `m1` if its store crashed; returns whether it did.
+fn restart_crashed<T: ReplicaTransport>(set: &mut ClusterSet<T>) -> Result<bool, String> {
+    if !set.member_crashed(CUT) {
+        return Ok(false);
+    }
+    set.restart_member(CUT)
+        .map_err(|e| format!("member restart failed: {e}"))?;
+    Ok(true)
 }
 
 /// Runs `workload` on a fresh primary + m1 + m2 group under `base`
-/// with majority-ack commits. Injected crashes are recorded;
+/// with majority-ack commits; `m1` runs on `member_io` and is restarted
+/// whenever it crashes. Injected primary crashes are recorded;
 /// non-faulty failures are hard errors.
-fn run_cluster(
+fn run_cluster<T: ReplicaTransport>(
     base: &Path,
     workload: &Workload,
     primary_io: Io,
-    transport: MemberPartition,
-) -> Result<ClusterRun, String> {
+    member_io: Io,
+    transport: T,
+) -> Result<ClusterRun<T>, String> {
     std::fs::remove_dir_all(base).ok();
+    let mut run = ClusterRun {
+        set: None,
+        acked: Vec::new(),
+        committed: 0,
+        unreplicated: 0,
+        primary_crashed: false,
+        member_restarts: 0,
+    };
     let mut set = match ClusterSet::bootstrap(
         base,
         workload.seed_schema.clone(),
@@ -246,26 +506,14 @@ fn run_cluster(
     ) {
         Ok(set) => set,
         Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-            return Ok(ClusterRun {
-                set: None,
-                acked: Vec::new(),
-                committed: 0,
-                unreplicated: 0,
-                primary_crashed: true,
-            })
+            run.primary_crashed = true;
+            return Ok(run);
         }
         Err(e) => return Err(format!("cluster bootstrap failed non-faultily: {e}")),
     };
-    set.add_member("m1", Io::plain());
+    set.add_member(CUT, member_io);
     set.add_member("m2", Io::plain());
 
-    let mut run = ClusterRun {
-        set: None,
-        acked: Vec::new(),
-        committed: 0,
-        unreplicated: 0,
-        primary_crashed: false,
-    };
     for step in &workload.steps {
         let res = match step {
             Step::Op(record) => set.commit_quorum(record.clone()).map(Some),
@@ -297,6 +545,9 @@ fn run_cluster(
             }
             Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
         }
+        if restart_crashed(&mut set)? {
+            run.member_restarts += 1;
+        }
     }
     run.set = Some(set);
     Ok(run)
@@ -305,8 +556,8 @@ fn run_cluster(
 /// Asserts every quorum-acknowledged `(lsn, crc)` pair is present in
 /// the current primary's log (or pruned into a covering checkpoint —
 /// never *different*).
-fn assert_acked_present(
-    set: &ClusterSet<MemberPartition>,
+fn assert_acked_present<T: ReplicaTransport>(
+    set: &ClusterSet<T>,
     acked: &[(u64, u32)],
     what: &str,
 ) -> Result<(), String> {
@@ -326,39 +577,32 @@ fn assert_acked_present(
     Ok(())
 }
 
-/// Asserts the primary's state equals the in-memory replay of its own
-/// log length, and answers the reference query identically.
-fn assert_prefix_consistent(
-    set: &ClusterSet<MemberPartition>,
-    prefix_bytes: &[Vec<u8>],
-    prefix_tmds: &[Tmd],
+/// Asserts the primary's state is byte-identical to the in-memory
+/// replay of its own log length.
+fn assert_prefix_consistent<T: ReplicaTransport>(
+    set: &ClusterSet<T>,
+    prefixes: &[Tmd],
     what: &str,
-) -> Result<usize, String> {
+) -> Result<(), String> {
     let p = set.primary().expect("primary lives");
     let q = (p.wal_position() - 2) as usize;
-    if q >= prefix_bytes.len() {
-        return Err(format!("{what}: primary holds {q} records, out of range"));
-    }
-    let schema = p.schema();
-    if serialise(&schema) != prefix_bytes[q] {
-        return Err(format!(
-            "{what}: primary state is not byte-identical to prefix {q}"
-        ));
-    }
-    if fingerprint(&schema)? != fingerprint(&prefix_tmds[q])? {
-        return Err(format!(
-            "{what}: primary answers the reference query differently at prefix {q}"
-        ));
-    }
-    Ok(q)
+    let expect = prefixes
+        .get(q)
+        .ok_or_else(|| format!("{what}: primary holds {q} records, out of range"))?;
+    assert_identical(
+        &p.schema(),
+        expect,
+        &format!("{what}: primary at prefix {q}"),
+    )
 }
 
 /// Pumps ticks until member `name` catches the primary's head (or the
-/// tick budget runs out); asserts byte-identity once caught.
-fn converge_member(
-    set: &mut ClusterSet<MemberPartition>,
+/// tick budget runs out); asserts byte-identity with the replay of the
+/// head's prefix once caught.
+fn converge_member<T: ReplicaTransport>(
+    set: &mut ClusterSet<T>,
     name: &str,
-    prefix_bytes: &[Vec<u8>],
+    prefixes: &[Tmd],
     what: &str,
 ) -> Result<(), String> {
     let head = set.primary().expect("primary lives").wal_position();
@@ -377,28 +621,93 @@ fn converge_member(
             f.next_lsn()
         ));
     }
-    let q = (head - 2) as usize;
     let schema = f
         .schema()
         .ok_or_else(|| format!("{what}: member {name} never bootstrapped"))?;
-    if serialise(schema) != prefix_bytes[q] {
-        return Err(format!(
-            "{what}: member {name} diverged from the applied sequence"
-        ));
-    }
-    Ok(())
+    let q = (head - 2) as usize;
+    let expect = prefixes
+        .get(q)
+        .ok_or_else(|| format!("{what}: head {head} past the replayed prefixes"))?;
+    assert_identical(schema, expect, &format!("{what}: member {name}"))
 }
 
 /// A probe record for fencing checks.
 fn probe_record(workload: &Workload) -> WalRecord {
-    workload
-        .steps
-        .iter()
-        .find_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
+    ops(workload)
+        .into_iter()
+        .next()
         .expect("workload has records")
+}
+
+/// Counts a rejoin by its outcome.
+fn count_rejoin(
+    outcome: &mut ClusterSweepOutcome,
+    res: Result<RejoinOutcome, ReplicaError>,
+    what: &str,
+) -> Result<(), String> {
+    match res {
+        Ok(RejoinOutcome::Truncated { .. }) => outcome.truncated_rejoins += 1,
+        Ok(RejoinOutcome::Rebuilt) => outcome.rebuilt_rejoins += 1,
+        Ok(RejoinOutcome::Clean) => outcome.clean_rejoins += 1,
+        Err(e) => return Err(format!("{what}: rejoin failed: {e}")),
+    }
+    Ok(())
+}
+
+/// Late joiner: pads the fault-free log with fresh evolutions until a
+/// checkpoint prunes its head, then adds a member that must be served
+/// the snapshot path and converge byte-identically, and keep up with
+/// one more commit after it. Returns the snapshots served.
+fn late_joiner<T: ReplicaTransport>(
+    set: &mut ClusterSet<T>,
+    workload: &Workload,
+    prefixes: &[Tmd],
+) -> Result<u64, String> {
+    let mut prefixes = prefixes.to_vec();
+    let mut pad = 0;
+    loop {
+        set.checkpoint()
+            .map_err(|e| format!("late joiner: checkpoint failed: {e}"))?;
+        let oldest = set
+            .primary()
+            .expect("primary lives")
+            .group()
+            .with_store(DurableTmd::oldest_lsn)
+            .map_err(|e| format!("late joiner: oldest_lsn failed: {e}"))?;
+        if oldest > 1 {
+            break;
+        }
+        if pad == 64 {
+            return Err("late joiner: 64 padding records never pruned the log".to_string());
+        }
+        let record = fresh_department(workload, format!("Dept-late-{pad}"));
+        let mut state = prefixes.last().expect("seed state").clone();
+        record
+            .apply(&mut state)
+            .map_err(|e| format!("late joiner: padding replay failed: {e}"))?;
+        prefixes.push(state);
+        set.commit_quorum(record)
+            .map_err(|e| format!("late joiner: padding commit failed: {e}"))?;
+        pad += 1;
+    }
+    let before = set.stats().snapshots_served;
+    set.add_member("late", Io::plain());
+    converge_member(set, "late", &prefixes, "late joiner")?;
+    let served = set.stats().snapshots_served - before;
+    if served == 0 {
+        return Err("late joiner: log head pruned but no snapshot was served".to_string());
+    }
+    // Bootstrapped from the snapshot, it must then keep up frame by frame.
+    let record = fresh_department(workload, format!("Dept-late-{pad}"));
+    let mut state = prefixes.last().expect("seed state").clone();
+    record
+        .apply(&mut state)
+        .map_err(|e| format!("late joiner: follow-up replay failed: {e}"))?;
+    prefixes.push(state);
+    set.commit_quorum(record)
+        .map_err(|e| format!("late joiner: follow-up commit failed: {e}"))?;
+    converge_member(set, "late", &prefixes, "late joiner follow-up")?;
+    Ok(served)
 }
 
 /// Staged quorum-loss scenario: the primary dies while `m1` is
@@ -411,42 +720,27 @@ fn quorum_loss_scenario(
     workload: &Workload,
     outcome: &mut ClusterSweepOutcome,
 ) -> Result<(), String> {
-    // Partition m1 after the workload replicates (large from_step
-    // would be fragile; instead cut from step 0 of the *post-workload*
-    // phase by running the workload on a clean transport first is not
-    // possible with one transport — so cut m1 late, after more steps
-    // than the clean run ever used).
-    let transport = MemberPartition::new(&["m1"], u64::MAX / 2, u64::MAX);
-    let run = run_cluster(base, workload, Io::plain(), transport)?;
-    if run.primary_crashed {
-        return Err("quorum-loss scenario: primary crashed faultlessly".to_string());
-    }
-    if run.committed != workload.records as u64 {
+    // Cut m1 from the first step after the workload, for a bounded
+    // outage: measure where a clean run's workload ends first.
+    let clean = run_cluster(
+        base,
+        workload,
+        Io::plain(),
+        Io::plain(),
+        MemberPartition::clean(),
+    )?;
+    let steps_after_workload = clean.set.as_ref().map_or(0, ClusterSet::transport_steps);
+    drop(clean);
+    let transport = MemberPartition::new(&[CUT], steps_after_workload, OUTAGE_OPS);
+    let mut run = run_cluster(base, workload, Io::plain(), Io::plain(), transport)?;
+    if run.primary_crashed || run.committed != workload.records as u64 {
         return Err(format!(
             "quorum-loss scenario committed {}/{}",
             run.committed, workload.records
         ));
     }
-    // Now cut m1 for a bounded outage and kill the primary: only m2
-    // answers, and 1 vote of 2 required must be refused.
-    // Reach into the transport via a fresh partition window: rebuild
-    // the set is unnecessary — m1 is still healthy here, so emulate
-    // the outage by crashing m1's link instead: partition semantics
-    // need the transport, so this scenario uses its own transport cut
-    // from the start of the leaderless phase.
-    drop(run);
-
-    // Rebuild with a partition that starts early enough to suppress
-    // m1's vote but heals: measure the clean run's steps first.
-    let clean = run_cluster(base, workload, Io::plain(), MemberPartition::clean())?;
-    let steps_after_workload = clean.set.as_ref().map_or(0, ClusterSet::transport_steps);
-    drop(clean);
-    let transport = MemberPartition::new(&["m1"], steps_after_workload, OUTAGE_OPS);
-    let mut run = run_cluster(base, workload, Io::plain(), transport)?;
     let set = run.set.as_mut().expect("set lives");
-    let acked = run.acked.clone();
-    let old = set.kill_primary().expect("primary present");
-    drop(old);
+    drop(set.kill_primary());
     // Direct election while m1 is cut: m2 stands, m1 cannot vote.
     match set.elect() {
         Err(ReplicaError::NoQuorum {
@@ -468,31 +762,134 @@ fn quorum_loss_scenario(
     }
     // Heartbeat-miss driven: once the outage window is consumed, the
     // supervisor's own tick must elect.
-    let mut elected = false;
-    for _ in 0..DRAIN_TICKS {
-        let events = set.tick();
-        if events
+    let elected = (0..DRAIN_TICKS).any(|_| {
+        set.tick()
             .iter()
             .any(|e| matches!(e, ClusterEvent::Elected { .. }))
-        {
-            elected = true;
-            break;
-        }
-    }
+    });
     if !elected {
         return Err("quorum-loss scenario: healed partition never elected".to_string());
     }
     outcome.elections += 1;
-    assert_acked_present(set, &acked, "quorum-loss scenario")?;
+    assert_acked_present(set, &run.acked, "quorum-loss scenario")?;
     std::fs::remove_dir_all(base).ok();
     Ok(())
 }
 
-/// Sweeps every fault-injection point of the quorum-replicated
-/// workload and checks the cluster invariants at each one: **no
-/// quorum-acknowledged commit is ever lost** across a single-node
-/// crash or partition, and **no two primaries accept writes in the
-/// same epoch** (the deposed one is probed at every failover).
+/// Forks two histories after a shared prefix and proves each side of
+/// the protocol refuses the divergence with a typed error. Returns the
+/// refusals observed: the primary-side gate, the member's duplicate
+/// check, and the election that will not seat the refusing member.
+fn divergence_scenario(base: &Path, workload: &Workload) -> Result<u64, String> {
+    std::fs::remove_dir_all(base).ok();
+    let records = ops(workload);
+
+    // History A: the whole workload, quorum-replicated to m1.
+    let mut set = ClusterSet::bootstrap(
+        &base.join("a"),
+        workload.seed_schema.clone(),
+        sweep_options(),
+        sweep_group_config(),
+        sweep_cluster_config(),
+        ChannelTransport::new(),
+        Io::plain(),
+    )
+    .map_err(|e| format!("fork scenario bootstrap: {e}"))?;
+    set.add_member(CUT, Io::plain());
+    for r in &records {
+        set.commit_quorum(r.clone())
+            .map_err(|e| format!("fork scenario commit: {e}"))?;
+    }
+
+    // History B: same prefix, but the last record is replaced by a
+    // different (valid) evolution — the classic post-failover fork.
+    let mut b = DurableTmd::create_with(
+        &base.join("b"),
+        workload.seed_schema.clone(),
+        sweep_options(),
+        Io::plain(),
+    )
+    .map_err(|e| format!("fork scenario history B create: {e}"))?;
+    for r in &records[..records.len() - 1] {
+        b.apply(r.clone())
+            .map_err(|e| format!("fork scenario history B apply: {e}"))?;
+    }
+    b.apply(fresh_department(workload, "Dept-fork".to_string()))
+        .map_err(|e| format!("fork record apply: {e}"))?;
+    let b = PrimaryNode::new("b", GroupCommit::new(b, sweep_group_config()), set.epoch());
+
+    let mut refusals = 0u64;
+
+    // Primary-side gate: m1's position claim names a frame CRC history
+    // B never wrote — B answers with a lone `diverged`.
+    let ReplicaMsg::Hello {
+        next_lsn, last_crc, ..
+    } = set.member(CUT).expect("member registered").hello()
+    else {
+        unreachable!("hello() builds a Hello")
+    };
+    let replies = b
+        .hello_view()
+        .answer(next_lsn, last_crc, 32)
+        .map_err(|e| format!("fork scenario: history B cannot answer: {e}"))?;
+    match replies.as_slice() {
+        [ReplicaMsg::Diverged { lsn, .. }] if *lsn == next_lsn - 1 => refusals += 1,
+        other => {
+            return Err(format!(
+                "fork scenario: primary-side gate did not refuse ({other:?})"
+            ))
+        }
+    }
+
+    // Member-side duplicate check: history B's forked frame reaches m1
+    // over the transport; m1 must refuse it, and the refusal is sticky.
+    let fork_lsn = b.wal_position() - 1;
+    let frames = b
+        .group()
+        .with_store(|s| s.tail(fork_lsn))
+        .map_err(|e| format!("fork scenario tail: {e}"))?;
+    let epoch = set.epoch();
+    set.transport_mut()
+        .send(CUT, &ReplicaMsg::Frames { epoch, frames })
+        .map_err(|e| format!("fork scenario send: {e}"))?;
+    let events = set.tick();
+    let reported = events
+        .iter()
+        .any(|e| matches!(e, ClusterEvent::MemberRefused { node, .. } if node == CUT));
+    match set.member(CUT).and_then(Follower::refusal_error) {
+        Some(ReplicaError::Diverged { lsn, .. }) if lsn == fork_lsn && reported => refusals += 1,
+        other => {
+            return Err(format!(
+                "fork scenario: member duplicate check did not refuse ({other:?})"
+            ))
+        }
+    }
+
+    // A refusing member is never elected: with the primary gone, the
+    // group's only member refuses, so no candidate may stand.
+    drop(set.kill_primary());
+    match set.elect() {
+        Err(ReplicaError::NoQuorum { votes: 0, .. }) if set.primary().is_none() => refusals += 1,
+        other => {
+            return Err(format!(
+                "fork scenario: the refusing member was electable ({other:?})"
+            ))
+        }
+    }
+
+    drop(set);
+    std::fs::remove_dir_all(base).ok();
+    Ok(refusals)
+}
+
+/// Sweeps every fault-injection point of the quorum-replicated workload
+/// over the in-process channel and checks the cluster invariants at
+/// each one: **no quorum-acknowledged commit is ever lost** across a
+/// single-node crash or partition, **no two primaries accept writes in
+/// the same epoch** (the deposed one is probed at every failover), and
+/// every surviving or restarted node is **byte-identical** to the
+/// replay of its log. Then runs the quorum-loss and divergence
+/// scenarios.
 ///
 /// # Errors
 ///
@@ -504,31 +901,45 @@ pub fn cluster_sweep(
     target_records: usize,
 ) -> Result<ClusterSweepOutcome, String> {
     let workload = generate(seed, target_records);
+    let mut outcome = sweep_with(&ChannelLab, base_dir, &workload, seed)?;
+    quorum_loss_scenario(&base_dir.join("q-loss"), &workload, &mut outcome)?;
+    outcome.divergence_refusals = divergence_scenario(&base_dir.join("fork"), &workload)?;
+    Ok(outcome)
+}
 
-    // Prefix states, exactly as in the durable crash sweep.
-    let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
-    let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
-    let mut state = workload.seed_schema.clone();
-    prefix_bytes.push(serialise(&state));
-    prefix_tmds.push(state.clone());
-    for step in &workload.steps {
-        if let Step::Op(record) = step {
-            record
-                .apply(&mut state)
-                .map_err(|e| format!("prefix replay failed: {e}"))?;
-            prefix_bytes.push(serialise(&state));
-            prefix_tmds.push(state.clone());
-        }
-    }
+/// The per-point classes of [`cluster_sweep`] over loopback TCP: every
+/// run ships its messages through a [`MsgRouter`] socket, and the link
+/// faults are *socket* faults on `m1`'s connection — stalled past the
+/// client's read timeout (healing) or dropped (permanent) — injected by
+/// a [`FaultProxy`]. The invariants checked are identical.
+///
+/// # Errors
+///
+/// A description of the first violated invariant — any `Err` is a
+/// cluster (or socket-layer) bug.
+pub fn cluster_sweep_net(
+    base_dir: &Path,
+    seed: u64,
+    target_records: usize,
+) -> Result<ClusterSweepOutcome, String> {
+    sweep_with(&TcpLab, base_dir, &generate(seed, target_records), seed)
+}
 
+fn sweep_with<L: TransportLab>(
+    lab: &L,
+    base_dir: &Path,
+    workload: &Workload,
+    seed: u64,
+) -> Result<ClusterSweepOutcome, String> {
+    let prefixes = prefix_states(workload)?;
     let mut outcome = ClusterSweepOutcome {
         records: workload.records,
         ..ClusterSweepOutcome::default()
     };
 
-    // ---- Stage 0: fault-free quorum run ----------------------------
+    // ---- Stage 0: fault-free quorum run, then a late joiner --------
     let free_dir = base_dir.join("free");
-    let free = run_cluster(&free_dir, &workload, Io::plain(), MemberPartition::clean())?;
+    let free = run_cluster(&free_dir, workload, Io::plain(), Io::plain(), lab.clean()?)?;
     let mut set = free.set.expect("fault-free run has a set");
     if free.primary_crashed || free.unreplicated != 0 || free.committed != workload.records as u64 {
         return Err(format!(
@@ -547,14 +958,16 @@ pub fn cluster_sweep(
     if set.primary().expect("primary lives").quorum_lsn() < head {
         return Err("fault-free watermark never caught the head".to_string());
     }
-    converge_member(&mut set, "m1", &prefix_bytes, "fault-free")?;
-    converge_member(&mut set, "m2", &prefix_bytes, "fault-free")?;
+    converge_member(&mut set, CUT, &prefixes, "fault-free")?;
+    converge_member(&mut set, "m2", &prefixes, "fault-free")?;
     let primary_points = set
         .primary()
         .expect("primary lives")
         .group()
-        .with_store(mvolap_durable::DurableTmd::io_ops);
-    let transport_points = set.transport_steps();
+        .with_store(DurableTmd::io_ops);
+    let member_points = set.member(CUT).expect("member registered").io_ops();
+    let link_points = lab.link_points(set.transport_mut());
+    outcome.snapshots_served += late_joiner(&mut set, workload, &prefixes)?;
     drop(set);
 
     // ---- Stage A: primary crashes at every I/O primitive -----------
@@ -562,50 +975,35 @@ pub fn cluster_sweep(
     for k in 0..primary_points {
         outcome.injection_points += 1;
         let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let transport = MemberPartition::clean();
-        let run = run_cluster(&a_dir, &workload, io, transport)?;
+        let run = run_cluster(&a_dir, workload, io, Io::plain(), lab.clean()?)?;
         let Some(mut set) = run.set else {
             outcome.primary_crashes += 1;
             outcome.unpromotable += 1; // Crashed creating the primary.
             continue;
         };
+        let what = format!("primary crash {k}");
         if !run.primary_crashed {
             // The fault fired inside a read path or not at all on this
             // run's shorter op sequence; the workload completed — treat
             // as a clean point.
-            assert_acked_present(&set, &run.acked, &format!("primary crash {k} (no-fire)"))?;
+            assert_acked_present(&set, &run.acked, &format!("{what} (no-fire)"))?;
             continue;
         }
         outcome.primary_crashes += 1;
         outcome.unreplicated_commits += run.unreplicated;
-        let old = set.kill_primary().expect("primary present before kill");
-        drop(old); // Release the store handle; rejoin reopens the dir.
+        outcome.snapshots_served += set.stats().snapshots_served;
+        drop(set.kill_primary()); // Release the store; rejoin reopens the dir.
         match set.elect() {
-            Ok((_winner, _epoch)) => {
+            Ok(_) => {
                 outcome.elections += 1;
-                assert_acked_present(&set, &run.acked, &format!("primary crash {k}"))?;
-                assert_prefix_consistent(
-                    &set,
-                    &prefix_bytes,
-                    &prefix_tmds,
-                    &format!("primary crash {k}"),
-                )?;
+                assert_acked_present(&set, &run.acked, &what)?;
+                assert_prefix_consistent(&set, &prefixes, &what)?;
                 // The crashed primary rejoins: recovery, then the
                 // truncation-on-rejoin invariant — any suffix beyond
                 // the CRC match point with the new primary is cut.
-                match set.rejoin_member("primary") {
-                    Ok(RejoinOutcome::Truncated { .. }) => outcome.truncated_rejoins += 1,
-                    Ok(RejoinOutcome::Rebuilt) => outcome.rebuilt_rejoins += 1,
-                    Ok(RejoinOutcome::Clean) => outcome.clean_rejoins += 1,
-                    Err(e) => return Err(format!("primary crash {k}: rejoin failed: {e}")),
-                }
-                converge_member(
-                    &mut set,
-                    "primary",
-                    &prefix_bytes,
-                    &format!("primary crash {k}"),
-                )?;
-                assert_acked_present(&set, &run.acked, &format!("primary crash {k} post-rejoin"))?;
+                count_rejoin(&mut outcome, set.rejoin_member("primary"), &what)?;
+                converge_member(&mut set, "primary", &prefixes, &what)?;
+                assert_acked_present(&set, &run.acked, &format!("{what} post-rejoin"))?;
             }
             Err(ReplicaError::NoQuorum { .. }) if run.acked.is_empty() => {
                 // Crashed before anything replicated; no member holds
@@ -614,31 +1012,75 @@ pub fn cluster_sweep(
             }
             Err(e) => {
                 return Err(format!(
-                    "primary crash {k}: election failed despite {} acked commits: {e}",
+                    "{what}: election failed despite {} acked commits: {e}",
                     run.acked.len()
                 ))
             }
         }
     }
 
-    // ---- Stage B: partition member m1 at every transport step ------
+    // ---- Stage M: member crashes at every I/O primitive ------------
+    let m_dir = base_dir.join("m-crash");
+    for k in 0..member_points {
+        outcome.injection_points += 1;
+        let what = format!("member crash {k}");
+        let io = Io::faulty(FaultPlan::crash_after(k, seed ^ 0x5EED_F011));
+        let run = run_cluster(&m_dir, workload, Io::plain(), io, lab.clean()?)?;
+        if run.primary_crashed || run.committed != workload.records as u64 {
+            return Err(format!(
+                "{what}: primary was disturbed ({} committed)",
+                run.committed
+            ));
+        }
+        if run.unreplicated > 0 {
+            return Err(format!(
+                "{what}: one crashed member blocked the quorum ({} unreplicated)",
+                run.unreplicated
+            ));
+        }
+        let mut set = run.set.expect("set lives");
+        // Late crash points fire while the member catches up.
+        let mut restarts = run.member_restarts;
+        let head = set.primary().expect("primary lives").wal_position();
+        for _ in 0..DRAIN_TICKS {
+            if restart_crashed(&mut set)? {
+                restarts += 1;
+            }
+            if set.member(CUT).is_some_and(|f| f.next_lsn() >= head) {
+                break;
+            }
+            set.tick();
+        }
+        if restarts == 0 {
+            return Err(format!("{what}: the crash never fired"));
+        }
+        outcome.member_crashes += 1;
+        outcome.snapshots_served += set.stats().snapshots_served;
+        assert_acked_present(&set, &run.acked, &what)?;
+        converge_member(&mut set, CUT, &prefixes, &what)?;
+        converge_member(&mut set, "m2", &prefixes, &what)?;
+    }
+
+    // ---- Stage B: fault m1's link at every transport step ----------
     let b_dir = base_dir.join("partition");
-    for j in (0..transport_points).step_by(1) {
+    for point in 0..2 * link_points {
+        let (j, heals) = (point / 2, point % 2 == 0);
         outcome.injection_points += 1;
         outcome.partitions += 1;
-        if j % 2 == 0 {
+        let what = format!("partition {j}");
+        if heals {
             // Healing outage: the group must reconverge exactly, and
             // no commit may be lost or rewritten.
-            let transport = MemberPartition::new(&["m1"], j, OUTAGE_OPS);
-            let run = run_cluster(&b_dir, &workload, Io::plain(), transport)?;
+            let run = run_cluster(&b_dir, workload, Io::plain(), Io::plain(), lab.outage(j)?)?;
             if run.primary_crashed {
-                return Err(format!("partition {j}: primary was disturbed"));
+                return Err(format!("{what}: primary was disturbed"));
             }
             let mut set = run.set.expect("set lives");
             outcome.unreplicated_commits += run.unreplicated;
-            assert_acked_present(&set, &run.acked, &format!("partition {j}"))?;
-            converge_member(&mut set, "m1", &prefix_bytes, &format!("partition {j}"))?;
-            converge_member(&mut set, "m2", &prefix_bytes, &format!("partition {j}"))?;
+            outcome.snapshots_served += set.stats().snapshots_served;
+            assert_acked_present(&set, &run.acked, &what)?;
+            converge_member(&mut set, CUT, &prefixes, &what)?;
+            converge_member(&mut set, "m2", &prefixes, &what)?;
             outcome.healed_outages += 1;
         } else {
             // Permanent partition of m1, then an operator failover:
@@ -646,63 +1088,50 @@ pub fn cluster_sweep(
             // deposed primary must be fenced, and it must refuse a
             // write in the new epoch — no two primaries ever accept
             // writes in the same epoch.
-            let transport = MemberPartition::new(&["m1"], j, u64::MAX);
-            let run = run_cluster(&b_dir, &workload, Io::plain(), transport)?;
+            let run = run_cluster(
+                &b_dir,
+                workload,
+                Io::plain(),
+                Io::plain(),
+                lab.partition(j)?,
+            )?;
             if run.primary_crashed {
-                return Err(format!("partition {j}: primary was disturbed"));
+                return Err(format!("{what}: primary was disturbed"));
             }
             let mut set = run.set.expect("set lives");
-            outcome.unreplicated_commits += run.unreplicated;
+            outcome.snapshots_served += set.stats().snapshots_served;
             if run.unreplicated > 0 {
                 return Err(format!(
-                    "partition {j}: quorum unreachable with a single member cut \
+                    "{what}: quorum unreachable with a single member cut \
                      ({} unreplicated)",
                     run.unreplicated
                 ));
             }
-            assert_acked_present(&set, &run.acked, &format!("partition {j}"))?;
+            assert_acked_present(&set, &run.acked, &what)?;
             match set.elect() {
                 Ok((_winner, epoch)) => {
                     outcome.elections += 1;
-                    assert_acked_present(&set, &run.acked, &format!("partition {j} failover"))?;
-                    assert_prefix_consistent(
-                        &set,
-                        &prefix_bytes,
-                        &prefix_tmds,
-                        &format!("partition {j} failover"),
-                    )?;
+                    let failover = format!("{what} failover");
+                    assert_acked_present(&set, &run.acked, &failover)?;
+                    assert_prefix_consistent(&set, &prefixes, &failover)?;
                     let old = set.retired_mut().expect("deposed primary retained");
                     if !old.is_fenced() {
-                        return Err(format!("partition {j}: deposed primary not fenced"));
+                        return Err(format!("{what}: deposed primary not fenced"));
                     }
-                    match old.commit(probe_record(&workload)) {
-                        Err(ReplicaError::Fenced { epoch: at }) => {
-                            if at != epoch {
-                                return Err(format!(
-                                    "partition {j}: fenced at epoch {at}, expected {epoch}"
-                                ));
-                            }
+                    match old.commit(probe_record(workload)) {
+                        Err(ReplicaError::Fenced { epoch: at }) if at == epoch => {
                             outcome.fenced_refusals += 1;
                         }
                         other => {
                             return Err(format!(
-                                "partition {j}: deposed primary accepted a write ({other:?})"
+                                "{what}: deposed primary accepted a write or was \
+                                 fenced at the wrong epoch ({other:?})"
                             ))
                         }
                     }
                     // The deposed primary rejoins the group it lost.
-                    match set.rejoin_member("primary") {
-                        Ok(RejoinOutcome::Truncated { .. }) => outcome.truncated_rejoins += 1,
-                        Ok(RejoinOutcome::Rebuilt) => outcome.rebuilt_rejoins += 1,
-                        Ok(RejoinOutcome::Clean) => outcome.clean_rejoins += 1,
-                        Err(e) => return Err(format!("partition {j}: rejoin failed: {e}")),
-                    }
-                    converge_member(
-                        &mut set,
-                        "primary",
-                        &prefix_bytes,
-                        &format!("partition {j} rejoin"),
-                    )?;
+                    count_rejoin(&mut outcome, set.rejoin_member("primary"), &what)?;
+                    converge_member(&mut set, "primary", &prefixes, &format!("{what} rejoin"))?;
                 }
                 Err(ReplicaError::NoQuorum { .. }) => {
                     // The partition fired before m2 replicated enough
@@ -710,20 +1139,17 @@ pub fn cluster_sweep(
                     // serving.
                     outcome.failed_elections += 1;
                     let lsn = set
-                        .commit_local(probe_record(&workload))
-                        .map_err(|e| format!("partition {j}: standing primary refused: {e}"))?;
+                        .commit_local(probe_record(workload))
+                        .map_err(|e| format!("{what}: standing primary refused: {e}"))?;
                     if lsn == 0 {
-                        return Err(format!("partition {j}: probe commit returned LSN 0"));
+                        return Err(format!("{what}: probe commit returned LSN 0"));
                     }
-                    assert_acked_present(&set, &run.acked, &format!("partition {j} no-quorum"))?;
+                    assert_acked_present(&set, &run.acked, &format!("{what} no-quorum"))?;
                 }
-                Err(e) => return Err(format!("partition {j}: election failed oddly: {e}")),
+                Err(e) => return Err(format!("{what}: election failed oddly: {e}")),
             }
         }
     }
-
-    // ---- Staged scenario: quorum loss refuses election -------------
-    quorum_loss_scenario(&base_dir.join("q-loss"), &workload, &mut outcome)?;
 
     if outcome.fenced_refusals == 0 {
         return Err("no failover ever probed the dual-primary invariant".to_string());
@@ -734,6 +1160,7 @@ pub fn cluster_sweep(
 
     std::fs::remove_dir_all(&free_dir).ok();
     std::fs::remove_dir_all(&a_dir).ok();
+    std::fs::remove_dir_all(&m_dir).ok();
     std::fs::remove_dir_all(&b_dir).ok();
     Ok(outcome)
 }

@@ -1,23 +1,28 @@
-//! Cluster integration tests: quorum commit, deterministic election,
-//! fencing, truncation-on-rejoin, read routing, and the full
-//! fault-injection sweep.
+//! Cluster integration tests: quorum commit, byte-identical replay,
+//! divergence refusal, deterministic election, fencing,
+//! truncation-on-rejoin, read routing, the async pumps, and the full
+//! fault-injection sweeps (which also cover snapshot bootstrap, member
+//! crash/restart and supervision over loopback TCP).
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use mvolap_cluster::{
-    cluster_sweep, ClusterConfig, ClusterSet, LocalCluster, MemberPump, PumpConfig, PumpShared,
-    PumpState, PumpStep, PumpTracker, RejoinOutcome,
+    cluster_sweep, cluster_sweep_net, ClusterConfig, ClusterEvent, ClusterSet, LocalCluster,
+    MemberPump, PumpConfig, PumpShared, PumpState, PumpStep, PumpTracker, RejoinOutcome,
 };
+use mvolap_core::{case_study, Tmd};
 use mvolap_durable::fault::{generate, Step};
 use mvolap_durable::{
-    CheckpointPolicy, DurableError, DurableTmd, FaultPlan, GroupCommit, GroupConfig, Io, Options,
-    TimeSource, WalRecord,
+    CheckpointPolicy, DurableError, DurableTmd, FactRow, FaultPlan, GroupCommit, GroupConfig, Io,
+    Options, TailFrame, TimeSource, WalRecord,
 };
 use mvolap_replica::{
-    ChannelTransport, Follower, NetAddr, NetConfig, ReplicaError, ReplicaMsg, TailSource, WalTailer,
+    ChannelTransport, Follower, NetAddr, NetConfig, ReplicaError, ReplicaMsg, ReplicaTransport,
+    TailSource, WalTailer,
 };
 use mvolap_server::{ServerError, ServerOptions};
+use mvolap_temporal::Instant;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mvolap_cluster_{name}_{}", std::process::id()));
@@ -261,7 +266,6 @@ fn forged_future_lsn_ack_never_advances_the_watermark() {
     let (mut set, _) = three_nodes(&dir, 4);
     let head = set.primary().expect("primary").wal_position();
     let epoch = set.epoch();
-    use mvolap_replica::{ReplicaMsg, ReplicaTransport};
     set.transport_mut()
         .send(
             "primary",
@@ -302,6 +306,257 @@ fn forged_future_lsn_ack_never_advances_the_watermark() {
         .unwrap();
     set.run_ticks(4);
     assert!(set.member_synced("m1") <= head);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A case-study group: the primary plus `members`, on 512-byte
+/// segments so a checkpoint prunes quickly, over `transport`.
+fn case_study_group<T: ReplicaTransport>(
+    dir: &Path,
+    members: &[&str],
+    transport: T,
+) -> (ClusterSet<T>, case_study::CaseStudy) {
+    let cs = case_study::case_study();
+    let mut set = ClusterSet::bootstrap(
+        dir,
+        cs.tmd.clone(),
+        Options {
+            segment_bytes: 512,
+            ..opts()
+        },
+        group_cfg(),
+        ClusterConfig::default(),
+        transport,
+        Io::plain(),
+    )
+    .expect("bootstrap");
+    for m in members {
+        set.add_member(m, Io::plain());
+    }
+    (set, cs)
+}
+
+fn facts(coord: mvolap_core::MemberVersionId, month: u32, v: f64) -> WalRecord {
+    WalRecord::FactBatch {
+        rows: vec![FactRow {
+            coords: vec![coord],
+            at: Instant::ym(2003, month),
+            values: vec![v],
+        }],
+    }
+}
+
+fn serialise(tmd: &Tmd) -> Vec<u8> {
+    let mut buf = Vec::new();
+    mvolap_core::persist::write_tmd(tmd, &mut buf).unwrap();
+    buf
+}
+
+fn answer(tmd: &Tmd) -> String {
+    const Q: &str = "SELECT sum(Amount) BY year, Org.Division IN MODE tcm";
+    let versions = tmd.structure_versions();
+    format!(
+        "{:?}",
+        mvolap_query::run_with_versions(tmd, &versions, Q).unwrap()
+    )
+}
+
+/// Asserts member `name` holds the primary's exact state: the same
+/// serialised schema, the same query answer and the same log, frame by
+/// frame.
+fn assert_replica_identical<T: ReplicaTransport>(set: &ClusterSet<T>, name: &str) {
+    let p = set.primary().expect("primary alive");
+    let m = set.member(name).expect("member exists");
+    assert_eq!(m.next_lsn(), p.wal_position(), "{name} lags");
+    let schema = m.schema().expect("bootstrapped");
+    assert_eq!(serialise(schema), serialise(&p.schema()), "{name} state");
+    assert_eq!(answer(schema), answer(&p.schema()), "{name} answer");
+    let oldest = m.store().unwrap().oldest_lsn().unwrap();
+    assert_eq!(
+        m.store().unwrap().tail(oldest).unwrap(),
+        p.group().with_store(|s| s.tail(oldest)).unwrap(),
+        "{name} log"
+    );
+}
+
+/// Members replay the primary's evolutions through the validated path
+/// into byte-identical logs — even for member names full of wire
+/// metacharacters (spaces, backslashes, tabs, newlines, non-ASCII),
+/// which must survive the escaped token encoding end to end.
+#[test]
+fn members_replay_byte_identical_logs_with_awkward_names() {
+    let dir = tmp("identical");
+    let (mut set, cs) = case_study_group(&dir, &["m1", "m2"], ChannelTransport::new());
+    for name in [
+        "Dept with spaces",
+        "back\\slash\\dept",
+        "tab\tand\nnewline",
+        "unicode—départ№7",
+        " leading and trailing ",
+    ] {
+        set.commit_quorum(WalRecord::Create {
+            dim: cs.org,
+            name: name.into(),
+            level: Some("Department".into()),
+            at: Instant::ym(2004, 1),
+            parents: vec![cs.sales],
+        })
+        .unwrap();
+    }
+    for m in 1..=4 {
+        set.commit_quorum(facts(cs.brian, m, f64::from(m) * 10.0))
+            .unwrap();
+    }
+    set.run_ticks(4);
+    assert_replica_identical(&set, "m1");
+    assert_replica_identical(&set, "m2");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Delivers member `name` a duplicate of LSN 2 with a different
+/// checksum — the claim that some other history holds that position —
+/// and returns the events of the round that refuses it.
+fn forge_divergence<T: ReplicaTransport>(set: &mut ClusterSet<T>, name: &str) -> Vec<ClusterEvent> {
+    let genuine = set
+        .primary()
+        .unwrap()
+        .group()
+        .with_store(|s| s.tail(2))
+        .unwrap()
+        .remove(0);
+    let forged = TailFrame {
+        crc: genuine.crc ^ 0xDEAD_BEEF,
+        ..genuine
+    };
+    let epoch = set.epoch();
+    set.transport_mut()
+        .send(
+            name,
+            &ReplicaMsg::Frames {
+                epoch,
+                frames: vec![forged],
+            },
+        )
+        .unwrap();
+    set.tick()
+}
+
+/// A frame whose CRC contradicts a member's own log at the same LSN is
+/// a divergence: refused with the typed error, sticky, and the refusing
+/// member is never elected — even though it outranks its peer.
+#[test]
+fn divergent_frame_is_refused_sticky_and_never_elected() {
+    let dir = tmp("diverge");
+    let (mut set, cs) = case_study_group(&dir, &["m1", "m2"], ChannelTransport::new());
+    for m in 1..=3 {
+        set.commit_quorum(facts(cs.brian, m, 5.0)).unwrap();
+    }
+    let events = forge_divergence(&mut set, "m2");
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, ClusterEvent::MemberRefused { node, .. } if node == "m2")),
+        "{events:?}"
+    );
+    assert!(matches!(
+        set.member("m2").unwrap().refusal_error(),
+        Some(ReplicaError::Diverged { lsn: 2, .. })
+    ));
+    // Sticky: later commits never reach it.
+    let at = set.member("m2").unwrap().next_lsn();
+    set.commit_quorum(facts(cs.brian, 4, 5.0)).unwrap();
+    set.run_ticks(4);
+    assert!(set.member_refusing("m2"));
+    assert_eq!(set.member("m2").unwrap().next_lsn(), at);
+    // m2 outranks m1 on the tie-break, yet the failover seats m1.
+    let (winner, _) = set.elect().expect("operator failover");
+    assert_eq!(winner, "m1");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A vote grant redelivered by the transport (a retried send whose
+/// first attempt did arrive) counts once: two real votes of five never
+/// seat a primary.
+#[test]
+fn duplicate_vote_grant_counts_once() {
+    let dir = tmp("dupvote");
+    let (mut set, cs) = case_study_group(&dir, &["m1", "m2", "m3", "m4"], ChannelTransport::new());
+    set.commit_quorum(facts(cs.brian, 1, 5.0)).unwrap();
+    set.commit_quorum(facts(cs.brian, 2, 5.0)).unwrap();
+    // m1 and m2 refuse replay, so they never vote: only m3 can back m4.
+    forge_divergence(&mut set, "m1");
+    forge_divergence(&mut set, "m2");
+    drop(set.kill_primary());
+    let epoch = set.epoch() + 1;
+    let grant = ReplicaMsg::VoteGrant {
+        node: "m3".into(),
+        epoch,
+        candidate: "m4".into(),
+        synced_lsn: set.member("m3").unwrap().next_lsn(),
+    };
+    set.transport_mut().send("supervisor", &grant).unwrap();
+    match set.elect() {
+        Err(ReplicaError::NoQuorum {
+            votes: 2,
+            required: 3,
+            ..
+        }) => {}
+        other => panic!("a redelivered grant swung the election: {other:?}"),
+    }
+    assert!(set.primary().is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failover preserves every answer — down to the exported §5.1
+/// warehouse tables — fences the deposed primary against writes and
+/// checkpoints, and members refuse the stale epoch's traffic.
+#[test]
+fn failover_preserves_answers_and_fences_stale_epochs() {
+    let dir = tmp("fence");
+    let (mut set, cs) = case_study_group(&dir, &["m1", "m2"], ChannelTransport::new());
+    for m in 1..=4 {
+        set.commit_quorum(facts(cs.paul, m, 3.0)).unwrap();
+    }
+    let digest = |tmd: &Tmd| {
+        mvolap_storage::persist::catalog_digest(
+            &mvolap_core::logical::build_multiversion_warehouse(tmd).unwrap(),
+        )
+    };
+    let before = set.primary().unwrap().schema();
+    let (winner, epoch) = set.elect().expect("operator failover");
+    assert_eq!((winner.as_str(), epoch), ("m2", 1));
+    let after = set.primary().unwrap().schema();
+    assert_eq!(serialise(&after), serialise(&before));
+    assert_eq!(answer(&after), answer(&before));
+    assert_eq!(digest(&after), digest(&before));
+
+    let retired = set.retired_mut().unwrap();
+    assert!(matches!(
+        retired.commit(facts(cs.paul, 5, 9.9)),
+        Err(ReplicaError::Fenced { epoch: 1 })
+    ));
+    assert!(matches!(
+        retired.checkpoint(),
+        Err(ReplicaError::Fenced { epoch: 1 })
+    ));
+
+    // m1 learns the new epoch; a stale-epoch frame batch is fenced
+    // before it is even checked, so it neither applies nor refuses.
+    set.run_ticks(2);
+    assert_eq!(set.member("m1").unwrap().epoch(), 1);
+    let at = set.member("m1").unwrap().next_lsn();
+    let frames = set
+        .primary()
+        .unwrap()
+        .group()
+        .with_store(|s| s.tail(1))
+        .unwrap();
+    set.transport_mut()
+        .send("m1", &ReplicaMsg::Frames { epoch: 0, frames })
+        .unwrap();
+    set.tick();
+    assert!(!set.member_refusing("m1"));
+    assert_eq!(set.member("m1").unwrap().next_lsn(), at);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -718,8 +973,11 @@ fn fenced_pump_stops_shipping_and_new_primary_pumps_take_over() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The tentpole guarantee: the full fault sweep. Debug builds run a
-/// smaller workload (the release CI job runs the big one).
+/// The full fault sweep over the in-process channel: the primary or
+/// member `m1` crashed at every I/O primitive, `m1`'s link cut at every
+/// transport step, a late joiner served a snapshot, and the divergence
+/// scenario's three typed refusals. Debug builds run a smaller
+/// workload (the release CI job runs the big one).
 #[test]
 fn cluster_sweep_holds_every_invariant() {
     let records = if cfg!(debug_assertions) { 6 } else { 12 };
@@ -732,6 +990,7 @@ fn cluster_sweep_holds_every_invariant() {
         outcome.injection_points
     );
     assert!(outcome.primary_crashes > 0, "no primary crash exercised");
+    assert!(outcome.member_crashes > 0, "no member crash exercised");
     assert!(outcome.partitions > 0, "no partition exercised");
     assert!(outcome.healed_outages > 0, "no outage healed");
     assert!(outcome.elections > 0, "no election ran");
@@ -740,6 +999,31 @@ fn cluster_sweep_holds_every_invariant() {
         outcome.truncated_rejoins + outcome.rebuilt_rejoins + outcome.clean_rejoins > 0,
         "no rejoin exercised"
     );
+    assert!(outcome.snapshots_served > 0, "no snapshot was served");
+    assert_eq!(outcome.divergence_refusals, 3, "{outcome:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same per-point classes over loopback TCP: every message crosses
+/// a socket through a router, and `m1`'s link suffers socket faults —
+/// stalled and dropped connections — at every step it takes. Debug
+/// builds run a smaller workload (the release CI job runs the big one).
+#[test]
+fn net_cluster_sweep_holds_over_loopback_tcp() {
+    let records = if cfg!(debug_assertions) { 6 } else { 12 };
+    let dir = tmp("net-sweep");
+    let outcome = cluster_sweep_net(&dir, 0xC1u64, records).expect("net sweep invariants hold");
+    let floor = if cfg!(debug_assertions) { 60 } else { 200 };
+    assert!(
+        outcome.injection_points >= floor,
+        "net sweep too small: {} points (floor {floor})",
+        outcome.injection_points
+    );
+    assert!(outcome.primary_crashes > 0, "no primary crash exercised");
+    assert!(outcome.member_crashes > 0, "no member crash exercised");
+    assert!(outcome.partitions > 0, "no socket fault exercised");
+    assert!(outcome.elections > 0, "no election ran");
+    assert!(outcome.fenced_refusals > 0, "dual-primary probe never ran");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1016,7 +1300,7 @@ fn live_join_and_leave_reconfigure_the_served_group() {
 }
 
 /// Regression (bounded parking): a pump thread parked on
-/// `wait_synced_past` under a `ManualClock` — its member effectively
+/// `wait_synced_past` on a manual `TimeSource` — its member effectively
 /// vanished, nothing will ever advance the commit — must still
 /// observe `PumpThread::stop` promptly, because every park is bounded
 /// by the retry deadline rather than the idle interval.

@@ -1,10 +1,10 @@
-//! `mvolap-replica` — WAL-shipping replication for the temporal
-//! warehouse: followers, divergence detection and fault-injected
-//! failover.
+//! `mvolap-replica` — WAL-shipping replication primitives for the
+//! temporal warehouse: followers, divergence detection, the primary
+//! node and the transports.
 //!
 //! The durability crate journals every evolution operator as a
 //! CRC-framed, LSN-addressed WAL record; this crate ships those frames
-//! to follower nodes and supervises the ensemble:
+//! to follower nodes:
 //!
 //! * **Tailing** ([`WalTailer`]). The primary serves its log from any
 //!   LSN; positions already pruned by checkpointing are served as a
@@ -22,43 +22,32 @@
 //!   past the primary's head) is refused with a typed
 //!   [`ReplicaError::Diverged`] — never patched, never silently
 //!   rewound.
-//! * **Supervision** ([`ReplicaSet`]). Heartbeat-based liveness,
-//!   bounded retry with exponential backoff on transport errors, and
-//!   explicit promotion: the epoch is bumped and the deposed primary
-//!   is *fenced* — it refuses every further write with
-//!   [`ReplicaError::Fenced`].
-//! * **Fault-injected failover proof** ([`replica_sweep`]). The
-//!   durable crate's crash sweep, extended: the primary or follower is
-//!   killed at every I/O primitive (torn writes included) and the
-//!   transport faulted at every step; at each point the promoted
-//!   follower must answer queries byte-identically to the surviving
-//!   prefix.
+//! * **The primary** ([`PrimaryNode`]). A [`mvolap_durable::GroupCommit`]
+//!   with an epoch and a fencing flag: once a newer primary exists the
+//!   deposed node refuses every write with [`ReplicaError::Fenced`]. It
+//!   answers follower hellos in one place ([`HelloView::answer`]).
 //! * **Networked transport** ([`net`]). The same protocol over real
 //!   TCP or unix sockets: every request and reply is one CRC frame of
 //!   canonical escaped-token text, with explicit connect/read/write
 //!   timeouts, bounded reconnect, and epoch fencing enforced at the
-//!   protocol layer by [`ReplicaServer`]. The failover sweep also runs
-//!   over loopback TCP ([`replica_sweep_net`]), with socket faults —
-//!   dropped and stalled connections — injected by a [`FaultProxy`].
+//!   protocol layer by [`ReplicaServer`]. [`TcpTransport`] carries the
+//!   supervisor's messages through a [`MsgRouter`], and a
+//!   [`FaultProxy`] injects socket faults (dropped and stalled
+//!   connections) between them.
 //!
-//! The supervision core is deterministic and single-threaded; time
-//! advances only through [`ReplicaSet::tick`], driven in deployments by
-//! a [`Clock`] ([`SystemClock`] for real time, [`ManualClock`] for
-//! tests).
+//! Supervision — quorum commit, elections, fencing, rejoin and the
+//! fault sweeps — lives one layer up, in `mvolap-cluster`.
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod error;
 pub mod follower;
 pub mod net;
+pub mod primary;
 pub mod record;
-pub mod set;
-pub mod sweep;
 pub mod tailer;
 pub mod transport;
 
-pub use clock::{Clock, ManualClock, SystemClock};
 pub use error::{ReplicaError, TransportError};
 pub use follower::Follower;
 pub use net::{
@@ -66,8 +55,7 @@ pub use net::{
     FaultProxy, FrameReader, MsgRouter, NetAddr, NetClient, NetConfig, NetListener, NetStream,
     ProxyFault, ReplicaServer, ServerConfig, SyncRound, TcpTransport,
 };
+pub use primary::{HelloView, PrimaryNode};
 pub use record::{esc_bytes, unesc_bytes, ReplicaMsg};
-pub use set::{LinkState, PrimaryNode, ReplicaConfig, ReplicaSet, SetStats, TickEvent};
-pub use sweep::{replica_sweep, replica_sweep_net, ReplicaSweepOutcome};
 pub use tailer::{TailSource, WalTailer};
-pub use transport::{ChannelTransport, FaultyTransport, LossMode, ReplicaTransport};
+pub use transport::{ChannelTransport, ReplicaTransport};

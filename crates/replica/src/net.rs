@@ -14,7 +14,7 @@
 //! * [`MsgRouter`] — a loopback message router: a dumb, byte-level
 //!   mailbox server (`send <to> <msg>` / `recv <node>`) that never
 //!   decodes replication messages. [`TcpTransport`] speaks to it,
-//!   giving [`crate::set::ReplicaSet`] (and the failover sweep) a real
+//!   giving the quorum supervisor (and its failover sweep) a real
 //!   socket under the unchanged supervision protocol.
 //! * [`ReplicaServer`] — the deployable primary-side server: each
 //!   request is one [`ReplicaMsg`] (hello/ack/fence) answered from a
@@ -44,9 +44,8 @@ use mvolap_durable::{frame, FaultPlan};
 
 use crate::error::{ReplicaError, TransportError};
 use crate::follower::Follower;
+use crate::primary::PrimaryNode;
 use crate::record::{esc_bytes, unesc_bytes, ReplicaMsg};
-use crate::set::PrimaryNode;
-use crate::tailer::TailSource;
 use crate::transport::ReplicaTransport;
 
 /// Upper bound on reply-batch counts, mirroring the record grammar cap.
@@ -958,8 +957,7 @@ pub struct ServerConfig {
     pub read_timeout_ms: u64,
     /// Per-connection write timeout, milliseconds.
     pub write_timeout_ms: u64,
-    /// Max WAL frames shipped per hello, as
-    /// [`crate::set::ReplicaConfig::batch_frames`].
+    /// Max WAL frames shipped per hello.
     pub batch_frames: usize,
 }
 
@@ -1037,7 +1035,7 @@ impl ReplicaServer {
         &self.addr
     }
 
-    /// The served node, shared — lock it to apply writes or checkpoint.
+    /// The served node, shared — lock it to commit writes or checkpoint.
     pub fn primary(&self) -> Arc<Mutex<PrimaryNode>> {
         Arc::clone(&self.primary)
     }
@@ -1088,92 +1086,74 @@ fn server_conn(
 }
 
 /// Answers one request from the shared primary, fencing rules first.
+/// The node's lock is held only for the fencing decision and to copy
+/// out its serving position; the log reads a hello needs run after it
+/// is released, so a lagging follower's snapshot fetch never stalls
+/// the checkpoint ticker or a writer. A hello's reply is checked
+/// against the fence once more after the reads, so a node fenced in
+/// the meantime still answers nothing but `fence`.
 fn answer_request(
     primary: &Mutex<PrimaryNode>,
     acked: &Mutex<BTreeMap<String, u64>>,
     batch_frames: usize,
     msg: ReplicaMsg,
 ) -> Vec<u8> {
-    let mut p = primary.lock().unwrap_or_else(|e| e.into_inner());
-    let epoch = match &msg {
-        ReplicaMsg::Hello { epoch, .. }
-        | ReplicaMsg::Ack { epoch, .. }
-        | ReplicaMsg::Fence { epoch } => *epoch,
-        other => {
-            return reply_err(&format!("unexpected {} request", other.kind()));
+    let view = {
+        let mut p = primary.lock().unwrap_or_else(|e| e.into_inner());
+        let epoch = match &msg {
+            ReplicaMsg::Hello { epoch, .. }
+            | ReplicaMsg::Ack { epoch, .. }
+            | ReplicaMsg::Fence { epoch } => *epoch,
+            other => {
+                return reply_err(&format!("unexpected {} request", other.kind()));
+            }
+        };
+        if epoch > p.epoch() {
+            // Proof of a newer primary: fence ourselves, answer fence.
+            p.fence(epoch);
+            return reply_batch(&[ReplicaMsg::Fence { epoch }]);
         }
+        if p.is_fenced() {
+            // Deposed: nothing but fence, whoever asks.
+            return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
+        }
+        if epoch < p.epoch() && !matches!(msg, ReplicaMsg::Hello { .. }) {
+            // Stale senders are refused — except hellos: the server is
+            // authoritative for the epoch, and a fresh or restarted
+            // follower legitimately hellos at epoch 0 to be taught the
+            // current one (via the heartbeat it gets back).
+            return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
+        }
+        if let ReplicaMsg::Fence { .. } = msg {
+            // epoch == current and not newer: nothing to do, report state.
+            return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
+        }
+        p.hello_view()
     };
-    if epoch > p.epoch() {
-        // Proof of a newer primary: fence ourselves, answer fence.
-        p.fence(epoch);
-        return reply_batch(&[ReplicaMsg::Fence { epoch }]);
-    }
-    if p.is_fenced() {
-        // Deposed: nothing but fence, whoever asks.
-        return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
-    }
-    if epoch < p.epoch() && !matches!(msg, ReplicaMsg::Hello { .. }) {
-        // Stale senders are refused — except hellos: the server is
-        // authoritative for the epoch, and a fresh or restarted
-        // follower legitimately hellos at epoch 0 to be taught the
-        // current one (via the heartbeat it gets back).
-        return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
-    }
     match msg {
         ReplicaMsg::Hello {
             next_lsn, last_crc, ..
-        } => {
-            let my_epoch = p.epoch();
-            let head = p.wal_position();
-            let tailer = p.tailer();
-            match tailer.verify_position(next_lsn, last_crc, head) {
-                Ok(()) => {}
-                Err(ReplicaError::Diverged {
-                    lsn,
-                    expected_crc,
-                    got_crc,
-                }) => {
-                    return reply_batch(&[ReplicaMsg::Diverged {
-                        epoch: my_epoch,
-                        lsn,
-                        expected_crc,
-                        got_crc,
-                    }]);
+        } => match view.answer(next_lsn, last_crc, batch_frames) {
+            Ok(replies) => {
+                // A fence may have landed while the log was read: a
+                // deposed node ships nothing, so re-check before replying.
+                let p = primary.lock().unwrap_or_else(|e| e.into_inner());
+                if p.is_fenced() {
+                    return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
                 }
-                Err(e) => return reply_err(&format!("position check failed: {e}")),
+                reply_batch(&replies)
             }
-            let mut out = vec![ReplicaMsg::Heartbeat {
-                epoch: my_epoch,
-                next_lsn: head,
-            }];
-            if next_lsn < head {
-                match tailer.fetch(next_lsn, batch_frames) {
-                    Ok(TailSource::Frames(frames)) => out.push(ReplicaMsg::Frames {
-                        epoch: my_epoch,
-                        frames,
-                    }),
-                    Ok(TailSource::Snapshot { next_lsn, snapshot }) => {
-                        out.push(ReplicaMsg::Snapshot {
-                            epoch: my_epoch,
-                            next_lsn,
-                            snapshot,
-                        });
-                    }
-                    // Serving-side read trouble: heartbeat only, the
-                    // follower simply asks again.
-                    Err(_) => {}
-                }
-            }
-            reply_batch(&out)
-        }
+            Err(e) => reply_err(&format!("position check failed: {e}")),
+        },
         ReplicaMsg::Ack { node, next_lsn, .. } => {
+            // A follower can never hold more than the primary wrote:
+            // cap the claim so a forged ack cannot report a position
+            // past the log head.
             let mut map = acked.lock().unwrap_or_else(|e| e.into_inner());
             let entry = map.entry(node).or_insert(0);
-            *entry = (*entry).max(next_lsn);
+            *entry = (*entry).max(next_lsn.min(view.head()));
             reply_batch(&[])
         }
-        // epoch == current and not newer: nothing to do, report state.
-        ReplicaMsg::Fence { .. } => reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]),
         _ => unreachable!("filtered above"),
     }
 }

@@ -1,17 +1,13 @@
 //! Message transport between replication nodes.
 //!
 //! The supervisor is transport-agnostic: anything that can move encoded
-//! [`ReplicaMsg`] bytes between named nodes works. Two implementations
-//! ship: an in-process channel ([`ChannelTransport`]) and a
-//! fault-injecting wrapper ([`FaultyTransport`]) that drops or refuses
-//! messages on a deterministic schedule, reusing the durability
-//! crate's [`FaultPlan`] so replication sweeps and crash sweeps share
-//! one scheduling mechanism.
+//! [`ReplicaMsg`] bytes between named nodes works. The in-process
+//! channel ([`ChannelTransport`]) lives here; the socket transport
+//! ([`crate::net::TcpTransport`]) speaks the same trait over a
+//! [`crate::net::MsgRouter`].
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-
-use mvolap_durable::FaultPlan;
 
 use crate::error::TransportError;
 use crate::record::ReplicaMsg;
@@ -82,92 +78,6 @@ impl ReplicaTransport for ChannelTransport {
     }
 }
 
-/// How a faulted transport operation presents to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LossMode {
-    /// The operation returns an error — the caller knows the link
-    /// misbehaved and can retry with backoff.
-    Error,
-    /// Messages silently vanish: sends succeed but deliver nothing,
-    /// receives find nothing. Only missed heartbeats reveal the
-    /// outage.
-    Silent,
-}
-
-/// A transport whose operations fail on a deterministic schedule.
-///
-/// The wrapped [`FaultPlan`] counts every send and receive; when it
-/// fires, the link enters an outage for `outage_len` further
-/// operations (use `u64::MAX` for a permanent partition). During an
-/// outage, sends are dropped and receives deliver nothing — loudly or
-/// silently per [`LossMode`]. After the outage the link heals.
-#[derive(Debug)]
-pub struct FaultyTransport {
-    inner: ChannelTransport,
-    plan: FaultPlan,
-    mode: LossMode,
-    outage_len: u64,
-    faulted_ops: u64,
-}
-
-impl FaultyTransport {
-    /// Wraps a fresh channel transport with the given fault schedule.
-    pub fn new(plan: FaultPlan, outage_len: u64, mode: LossMode) -> FaultyTransport {
-        FaultyTransport {
-            inner: ChannelTransport::new(),
-            plan,
-            mode,
-            outage_len,
-            faulted_ops: 0,
-        }
-    }
-
-    /// Number of operations the outage has swallowed so far.
-    pub fn faulted_ops(&self) -> u64 {
-        self.faulted_ops
-    }
-
-    /// Counts one operation; `true` when it should fail.
-    fn faulted(&mut self) -> bool {
-        if !self.plan.fires() {
-            return false;
-        }
-        if self.faulted_ops >= self.outage_len {
-            return false; // Outage over; the link healed.
-        }
-        self.faulted_ops += 1;
-        true
-    }
-}
-
-impl ReplicaTransport for FaultyTransport {
-    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
-        if self.faulted() {
-            // The message is dropped either way; the mode only decides
-            // whether the sender finds out.
-            return match self.mode {
-                LossMode::Error => Err(TransportError::Lost),
-                LossMode::Silent => Ok(()),
-            };
-        }
-        self.inner.send(to, msg)
-    }
-
-    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
-        if self.faulted() {
-            return match self.mode {
-                LossMode::Error => Err(TransportError::Down),
-                LossMode::Silent => Ok(None),
-            };
-        }
-        self.inner.recv(node)
-    }
-
-    fn steps(&self) -> u64 {
-        self.inner.steps()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,27 +97,5 @@ mod tests {
         assert_eq!(t.recv("a").unwrap(), None);
         assert_eq!(t.recv("b").unwrap(), Some(hb(2)));
         assert_eq!(t.steps(), 7);
-    }
-
-    #[test]
-    fn faulty_outage_heals_after_window() {
-        // Fault after 1 op, outage of 2 ops, loud mode.
-        let plan = FaultPlan::crash_after(1, 0xF00D);
-        let mut t = FaultyTransport::new(plan, 2, LossMode::Error);
-        t.send("a", &hb(1)).unwrap(); // op 0: fine
-        assert_eq!(t.send("a", &hb(2)), Err(TransportError::Lost)); // dropped
-        assert_eq!(t.recv("a"), Err(TransportError::Down)); // outage
-        t.send("a", &hb(3)).unwrap(); // healed
-        assert_eq!(t.recv("a").unwrap(), Some(hb(1)));
-        assert_eq!(t.recv("a").unwrap(), Some(hb(3)));
-        assert_eq!(t.faulted_ops(), 2);
-    }
-
-    #[test]
-    fn faulty_silent_mode_swallows_without_errors() {
-        let plan = FaultPlan::crash_after(0, 1);
-        let mut t = FaultyTransport::new(plan, u64::MAX, LossMode::Silent);
-        t.send("a", &hb(1)).unwrap(); // silently dropped
-        assert_eq!(t.recv("a").unwrap(), None);
     }
 }

@@ -8,6 +8,8 @@
 //! * CRC-mismatched frame           → `Protocol`
 //! * mid-stream disconnect          → `Transport`
 //! * stale-epoch request            → fence reply / `Fenced`
+//! * forged future-LSN ack          → capped at the log head
+//! * hello while a commit awaits its fsync → only durable frames ship
 //! * undecodable message payload    → `Protocol` (server survives)
 //!
 //! and for the quorum envelope (`qack` / `votereq` / `vote`):
@@ -41,7 +43,10 @@ use std::sync::{Arc, Mutex};
 
 use mvolap_core::case_study;
 use mvolap_durable::checksum::crc32;
-use mvolap_durable::{frame, CheckpointPolicy, DurableTmd, Io, Options};
+use mvolap_durable::{
+    frame, CheckpointPolicy, DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options,
+    TimeSource, WalRecord,
+};
 use mvolap_replica::{
     decode_batch, encode_batch, esc_bytes, sync_follower, Follower, NetAddr, NetClient, NetConfig,
     PrimaryNode, ReplicaError, ReplicaMsg, ReplicaServer, ServerConfig,
@@ -177,7 +182,11 @@ fn net_stale_epoch_request_is_fenced_at_the_protocol_layer() {
     let base = tmp("stale");
     let cs = case_study::case_study();
     let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 3)));
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        3,
+    )));
     let server = ReplicaServer::spawn(
         &NetAddr::Tcp("127.0.0.1:0".into()),
         primary,
@@ -206,6 +215,121 @@ fn net_stale_epoch_request_is_fenced_at_the_protocol_layer() {
         Err(ReplicaError::Fenced { epoch }) => assert_eq!(epoch, 4),
         other => panic!("expected Fenced, got {other:?}"),
     }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A current-epoch ack claiming a position far past the log head is
+/// capped at the head: a follower can never hold more than the primary
+/// wrote, so `acked_lsn` never points past records that exist.
+#[test]
+fn net_forged_future_ack_is_capped_at_the_head() {
+    let base = tmp("futureack");
+    let cs = case_study::case_study();
+    let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    )));
+    let server = ReplicaServer::spawn(
+        &NetAddr::Tcp("127.0.0.1:0".into()),
+        primary,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let head = server.primary().lock().unwrap().wal_position();
+    let mut client = NetClient::connect(server.addr().clone(), strict_cfg());
+    let reply = client
+        .request(&ReplicaMsg::Ack {
+            node: "liar".into(),
+            epoch: 0,
+            next_lsn: 1_000_000_000,
+        })
+        .unwrap();
+    assert!(reply.is_empty(), "{reply:?}");
+    assert_eq!(
+        server.acked_lsn("liar"),
+        head,
+        "the forged claim must be capped at the log head"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A hello answered while another writer's commit is appended but
+/// still held open before its fsync must not ship that record: the
+/// heartbeat reports the synced watermark and every frame lies below
+/// it. Once the sync lands, the record ships.
+#[test]
+fn net_hello_never_ships_an_unsynced_record() {
+    let base = tmp("unsynced");
+    let cs = case_study::case_study();
+    let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
+    let time = TimeSource::manual(0);
+    let group = GroupCommit::new(
+        store,
+        GroupConfig {
+            hold_ms: 40,
+            time: time.clone(),
+        },
+    );
+    let primary = Arc::new(Mutex::new(PrimaryNode::new("primary", group.clone(), 0)));
+    let server = ReplicaServer::spawn(
+        &NetAddr::Tcp("127.0.0.1:0".into()),
+        primary,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let synced = group.synced_lsn();
+
+    // A writer appends one record; its sync window stays open until
+    // the manual timeline is advanced.
+    let writer = {
+        let group = group.clone();
+        std::thread::spawn(move || {
+            group.commit(WalRecord::FactBatch {
+                rows: vec![FactRow {
+                    coords: vec![cs.brian],
+                    at: mvolap_temporal::Instant::ym(2003, 1),
+                    values: vec![1.0],
+                }],
+            })
+        })
+    };
+    while group.wal_position() == synced {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(
+        group.synced_lsn(),
+        synced,
+        "the sync window must still be open"
+    );
+
+    let mut client = NetClient::connect(server.addr().clone(), strict_cfg());
+    let shipped = |reply: &[ReplicaMsg]| -> (u64, Vec<u64>) {
+        let mut head = 0;
+        let mut lsns = Vec::new();
+        for msg in reply {
+            match msg {
+                ReplicaMsg::Heartbeat { next_lsn, .. } => head = *next_lsn,
+                ReplicaMsg::Frames { frames, .. } => lsns.extend(frames.iter().map(|f| f.lsn)),
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        (head, lsns)
+    };
+    let (head, lsns) = shipped(&client.request(&hello()).unwrap());
+    assert_eq!(head, synced, "the heartbeat must carry the synced head");
+    assert!(
+        lsns.iter().all(|&l| l < synced),
+        "an unsynced record shipped: {lsns:?} (synced below {synced})"
+    );
+
+    time.advance(1_000);
+    let lsn = writer.join().unwrap().unwrap();
+    assert_eq!(lsn, synced);
+    let (head, lsns) = shipped(&client.request(&hello()).unwrap());
+    assert_eq!(head, lsn + 1);
+    assert!(lsns.contains(&lsn), "the synced record must ship: {lsns:?}");
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -250,7 +374,11 @@ fn net_truncated_quorum_ack_is_refused_and_server_survives() {
     let base = tmp("qack");
     let cs = case_study::case_study();
     let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    )));
     let server = ReplicaServer::spawn(
         &NetAddr::Tcp("127.0.0.1:0".into()),
         primary,
@@ -376,7 +504,11 @@ fn net_undecodable_payload_is_refused_and_server_survives() {
     let base = tmp("garbage");
     let cs = case_study::case_study();
     let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    )));
     let server = ReplicaServer::spawn(
         &NetAddr::Tcp("127.0.0.1:0".into()),
         primary,
@@ -578,7 +710,11 @@ fn net_snap_chunk_and_reconfig_rows_are_typed_refusals() {
     // frame — no hang, and the next client is served normally.
     let cs = case_study::case_study();
     let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    )));
     let server = ReplicaServer::spawn(
         &NetAddr::Tcp("127.0.0.1:0".into()),
         primary,

@@ -1,8 +1,8 @@
 //! Networked replication over real sockets on loopback: follower
 //! catch-up through a [`ReplicaServer`], snapshot bootstrap, the
-//! unix-socket variant, a full [`ReplicaSet`] over [`TcpTransport`],
-//! clock-driven ticking with time-based checkpoints, and the complete
-//! fault-injection sweep over TCP (socket faults included).
+//! unix-socket variant, and time-based checkpoints on the served
+//! primary. (The supervisor over `TcpTransport` and the loopback
+//! failover sweep are exercised in `mvolap-cluster`.)
 //!
 //! Every test is named `net_*` so CI can run exactly this surface with
 //! `cargo test -p mvolap-replica net_`.
@@ -13,11 +13,13 @@ use std::sync::{Arc, Mutex};
 use mvolap_core::case_study;
 use mvolap_core::persist::write_tmd;
 use mvolap_core::Tmd;
-use mvolap_durable::{CheckpointPolicy, DurableTmd, FactRow, Io, Options, WalRecord};
+use mvolap_durable::{
+    CheckpointPolicy, DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, TimeSource,
+    WalRecord,
+};
 use mvolap_replica::{
-    replica_sweep_net, sync_follower, Clock, Follower, ManualClock, MsgRouter, NetAddr, NetClient,
-    NetConfig, PrimaryNode, ReplicaConfig, ReplicaError, ReplicaMsg, ReplicaServer, ReplicaSet,
-    ServerConfig, SyncRound, TcpTransport,
+    sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError, ReplicaMsg,
+    ReplicaServer, ServerConfig, SyncRound,
 };
 use mvolap_temporal::Instant;
 
@@ -77,7 +79,11 @@ fn facts(coord: mvolap_core::MemberVersionId, month: u32, v: f64) -> WalRecord {
 fn spawn_server(bind: &NetAddr, dir: &std::path::Path) -> (ReplicaServer, case_study::CaseStudy) {
     let cs = case_study::case_study();
     let store = DurableTmd::create_with(dir, cs.tmd.clone(), opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    )));
     let server = ReplicaServer::spawn(bind, primary, ServerConfig::default()).unwrap();
     (server, cs)
 }
@@ -107,7 +113,7 @@ fn net_follower_syncs_over_tcp_then_promotion_fences_old_server() {
         let primary = server.primary();
         let mut p = primary.lock().unwrap();
         for m in 1..=5 {
-            p.apply(facts(cs.brian, m, f64::from(m) * 10.0)).unwrap();
+            p.commit(facts(cs.brian, m, f64::from(m) * 10.0)).unwrap();
         }
     }
 
@@ -121,12 +127,12 @@ fn net_follower_syncs_over_tcp_then_promotion_fences_old_server() {
     {
         let p = primary.lock().unwrap();
         assert_eq!(round.next_lsn, p.wal_position());
-        expect_bytes = serialise(p.schema());
-        expect_answer = answer(p.schema());
+        expect_bytes = serialise(&p.schema());
+        expect_answer = answer(&p.schema());
         assert_eq!(serialise(f.schema().unwrap()), expect_bytes);
         // The logs themselves are byte-identical frame by frame.
         assert_eq!(
-            p.store().tail(1).unwrap(),
+            p.group().with_store(|s| s.tail(1)).unwrap(),
             f.store().unwrap().tail(1).unwrap()
         );
     }
@@ -139,9 +145,9 @@ fn net_follower_syncs_over_tcp_then_promotion_fences_old_server() {
     // Promote: the follower's store becomes a primary at epoch 1 and
     // answers run_with_versions byte-identically to the deposed one.
     let store = f.into_primary_store().unwrap();
-    let promoted = PrimaryNode::from_store("f1", store, 1);
-    assert_eq!(serialise(promoted.schema()), expect_bytes);
-    assert_eq!(answer(promoted.schema()), expect_answer);
+    let promoted = PrimaryNode::new("f1", GroupCommit::new(store, GroupConfig::default()), 1);
+    assert_eq!(serialise(&promoted.schema()), expect_bytes);
+    assert_eq!(answer(&promoted.schema()), expect_answer);
 
     // Fence the old server at the protocol layer: a newer-epoch fence
     // request deposes it on the spot.
@@ -150,7 +156,7 @@ fn net_follower_syncs_over_tcp_then_promotion_fences_old_server() {
     {
         let mut p = primary.lock().unwrap();
         assert!(p.is_fenced());
-        match p.apply(facts(cs.brian, 6, 1.0)) {
+        match p.commit(facts(cs.brian, 6, 1.0)) {
             Err(ReplicaError::Fenced { epoch }) => assert_eq!(epoch, 1),
             other => panic!("expected Fenced, got {other:?}"),
         }
@@ -176,10 +182,10 @@ fn net_late_joiner_bootstraps_from_snapshot_over_tcp() {
     {
         let mut p = primary.lock().unwrap();
         for m in 1..=10 {
-            p.apply(facts(cs.brian, m.min(12), 1.0)).unwrap();
+            p.commit(facts(cs.brian, m.min(12), 1.0)).unwrap();
         }
         p.checkpoint().unwrap();
-        oldest = p.store().oldest_lsn().unwrap();
+        oldest = p.group().with_store(DurableTmd::oldest_lsn).unwrap();
         assert!(oldest > 1, "512-byte segments must have pruned");
     }
 
@@ -189,7 +195,7 @@ fn net_late_joiner_bootstraps_from_snapshot_over_tcp() {
 
     let p = primary.lock().unwrap();
     assert_eq!(f.next_lsn(), p.wal_position());
-    assert_eq!(serialise(f.schema().unwrap()), serialise(p.schema()));
+    assert_eq!(serialise(f.schema().unwrap()), serialise(&p.schema()));
     assert!(
         f.store().unwrap().oldest_lsn().unwrap() >= oldest,
         "the follower was served the snapshot path, not a replay from LSN 1 \
@@ -214,76 +220,25 @@ fn net_unix_socket_serves_the_same_protocol() {
     {
         let mut p = primary.lock().unwrap();
         for m in 1..=3 {
-            p.apply(facts(cs.bill, m, 7.0)).unwrap();
+            p.commit(facts(cs.bill, m, 7.0)).unwrap();
         }
     }
     let mut client = NetClient::connect(addr, client_cfg());
     let mut f = Follower::create("f1", base.join("f"), opts(), Io::plain());
     sync_until_caught_up(&mut client, &mut f);
     let p = primary.lock().unwrap();
-    assert_eq!(serialise(f.schema().unwrap()), serialise(p.schema()));
+    assert_eq!(serialise(f.schema().unwrap()), serialise(&p.schema()));
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// A whole [`ReplicaSet`] supervises over [`TcpTransport`]: every
-/// protocol message crosses a loopback socket through a [`MsgRouter`],
-/// and the clock-driven tick loop drives it while a manual clock keeps
-/// the test deterministic.
+/// `CheckpointPolicy::max_tail_age_ms` on a manual [`TimeSource`]: the
+/// served primary checkpoints once its tail has sat long enough on the
+/// store's own timeline, and a fenced primary is frozen.
 #[test]
-fn net_replica_set_supervises_over_tcp_transport() {
-    let base = tmp("tcp_set");
-    let cs = case_study::case_study();
-    let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
-    let transport = TcpTransport::connect(router.addr().clone(), client_cfg());
-    let mut set = ReplicaSet::bootstrap(
-        &base,
-        cs.tmd.clone(),
-        opts(),
-        ReplicaConfig::default(),
-        transport,
-        Io::plain(),
-    )
-    .unwrap();
-    set.add_follower("f1", Io::plain());
-    for m in 1..=4 {
-        set.apply(facts(cs.paul, m, 3.0)).unwrap();
-    }
-
-    let clock = ManualClock::new(0);
-    let mut rounds = 0u64;
-    for _ in 0..64 {
-        set.run_ticks(&clock, 250, 1);
-        rounds += 1;
-        let head = set.primary().unwrap().wal_position();
-        if set.follower("f1").unwrap().next_lsn() >= head {
-            break;
-        }
-    }
-    assert_eq!(
-        clock.now_ms(),
-        rounds * 250,
-        "each tick slept one interval on the supervision clock"
-    );
-    let primary = set.primary().unwrap();
-    let follower = set.follower("f1").unwrap();
-    assert_eq!(follower.next_lsn(), primary.wal_position());
-    assert_eq!(set.acked_lsn("f1"), primary.wal_position());
-    assert_eq!(
-        serialise(follower.schema().unwrap()),
-        serialise(primary.schema())
-    );
-    assert!(set.transport_steps() > 0);
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// `CheckpointPolicy::max_tail_age_ms` + [`ManualClock`]: the clock the
-/// supervisor sleeps on is the clock the store ages its tail by, so a
-/// tick loop checkpoints the primary once the tail sits long enough.
-#[test]
-fn net_manual_clock_drives_time_based_checkpoints() {
+fn net_manual_time_drives_time_based_checkpoints() {
     let base = tmp("clock_ckpt");
     let cs = case_study::case_study();
-    let clock = ManualClock::new(0);
+    let time = TimeSource::manual(0);
     let mut store = DurableTmd::create_with(
         &base,
         cs.tmd.clone(),
@@ -295,51 +250,26 @@ fn net_manual_clock_drives_time_based_checkpoints() {
         Io::plain(),
     )
     .unwrap();
-    store.set_time_source(clock.time_source());
-    let mut p = PrimaryNode::from_store("primary", store, 0);
+    store.set_time_source(time.clone());
+    let mut p = PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    );
 
-    p.apply(facts(cs.brian, 1, 1.0)).unwrap();
+    p.commit(facts(cs.brian, 1, 1.0)).unwrap();
     assert!(p.maybe_checkpoint().unwrap().is_none(), "tail too young");
-    clock.sleep_ms(999);
+    time.advance(999);
     assert!(p.maybe_checkpoint().unwrap().is_none(), "one ms short");
-    clock.sleep_ms(1);
+    time.advance(1);
     let id = p.maybe_checkpoint().unwrap().expect("tail aged out");
     assert_eq!(id.next_lsn, p.wal_position());
     assert!(p.maybe_checkpoint().unwrap().is_none(), "tail now empty");
 
     // A fenced node's store is frozen: no more checkpoint driving.
-    p.apply(facts(cs.brian, 2, 2.0)).unwrap();
-    clock.sleep_ms(5_000);
+    p.commit(facts(cs.brian, 2, 2.0)).unwrap();
+    time.advance(5_000);
     p.fence(1);
     assert!(p.maybe_checkpoint().unwrap().is_none(), "fenced: frozen");
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// The full failover sweep over loopback TCP: primary and follower
-/// I/O crashes, plus *socket* faults — dropped and stalled connections
-/// injected by the byte-level proxy — at every transport step. Every
-/// injection point must leave a promotable, byte-identical ensemble.
-#[test]
-fn net_replica_sweep_holds_over_loopback_tcp() {
-    let base = tmp("sweep");
-    // Debug builds sweep a smaller workload: same stages, same
-    // invariants, fewer points. CI's network job runs this in release
-    // at the full size.
-    let (records, floor) = if cfg!(debug_assertions) {
-        (6, 60)
-    } else {
-        (12, 200)
-    };
-    let outcome = replica_sweep_net(&base, 0xFA11_0FE8, records).expect("net sweep invariants");
-    assert!(
-        outcome.injection_points >= floor,
-        "need a real sweep, got {outcome:?}"
-    );
-    assert!(outcome.primary_crashes > 0, "{outcome:?}");
-    assert!(outcome.follower_crashes > 0, "{outcome:?}");
-    assert!(outcome.transport_faults > 0, "{outcome:?}");
-    assert!(outcome.promotions > 0, "{outcome:?}");
-    assert!(outcome.fenced_refusals > 0, "{outcome:?}");
-    assert_eq!(outcome.divergence_refusals, 3, "{outcome:?}");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -2,9 +2,10 @@
 //! on loopback, a follower syncing through the socket protocol,
 //! promotion, and a fenced-write probe against the deposed server.
 //!
-//! The same steps as `examples/replication.rs`, but every frame crosses
-//! a socket: the primary sits behind a [`ReplicaServer`], the follower
-//! pulls hello → heartbeat/frames → ack round trips through a
+//! The two-process deployment (what `--serve` and `--follow` run), in
+//! one process, with every frame crossing a socket: the primary sits
+//! behind a [`ReplicaServer`], the follower pulls
+//! hello → heartbeat/frames → ack round trips through a
 //! [`NetClient`], and epoch fencing is enforced at the protocol layer —
 //! a single `fence` request at a newer epoch deposes the server for
 //! every later caller.
@@ -20,7 +21,7 @@
 use std::sync::{Arc, Mutex};
 
 use mvolap::core::case_study;
-use mvolap::durable::{DurableTmd, FactRow, Io, Options, WalRecord};
+use mvolap::durable::{DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, WalRecord};
 use mvolap::prelude::*;
 use mvolap::replica::{
     sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError, ReplicaMsg,
@@ -61,7 +62,11 @@ fn main() {
         Io::plain(),
     )
     .expect("create primary store");
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
+    let primary = Arc::new(Mutex::new(PrimaryNode::new(
+        "primary",
+        GroupCommit::new(store, GroupConfig::default()),
+        0,
+    )));
     let mut server = ReplicaServer::spawn(
         &NetAddr::Tcp("127.0.0.1:0".into()),
         Arc::clone(&primary),
@@ -74,7 +79,7 @@ fn main() {
     // 2. Evolve and load on the primary while it is being served.
     {
         let mut p = primary.lock().expect("primary lock");
-        p.apply(WalRecord::Create {
+        p.commit(WalRecord::Create {
             dim: cs.org,
             name: "Dpt.NanoTech".into(),
             level: Some("Department".into()),
@@ -82,7 +87,7 @@ fn main() {
             parents: vec![cs.rnd],
         })
         .expect("create member");
-        p.apply(WalRecord::FactBatch {
+        p.commit(WalRecord::FactBatch {
             rows: vec![
                 FactRow {
                     coords: vec![cs.bill],
@@ -118,7 +123,7 @@ fn main() {
 
     let before = {
         let p = primary.lock().expect("primary lock");
-        render(&mvolap::query::run(p.schema(), Q1).expect("query"))
+        render(&mvolap::query::run(&p.schema(), Q1).expect("query"))
     };
     println!("\nQ1 on the primary:");
     for line in &before {
@@ -129,7 +134,11 @@ fn main() {
     //    and one fence request at the new epoch deposes the old server
     //    at the protocol layer — no shared memory, just the socket.
     let promoted_store = follower.into_primary_store().expect("promote follower");
-    let promoted = PrimaryNode::from_store("f1", promoted_store, 1);
+    let promoted = PrimaryNode::new(
+        "f1",
+        GroupCommit::new(promoted_store, GroupConfig::default()),
+        1,
+    );
     let reply = client
         .request(&ReplicaMsg::Fence { epoch: 1 })
         .expect("fence rpc");
@@ -140,7 +149,7 @@ fn main() {
     );
 
     // 5. The promoted follower answers Q1 byte-identically.
-    let after = render(&mvolap::query::run(promoted.schema(), Q1).expect("query"));
+    let after = render(&mvolap::query::run(&promoted.schema(), Q1).expect("query"));
     println!("\nQ1 on the promoted follower:");
     for line in &after {
         println!("  {line}");
@@ -156,7 +165,7 @@ fn main() {
     let probe = primary
         .lock()
         .expect("primary lock")
-        .apply(WalRecord::FactBatch {
+        .commit(WalRecord::FactBatch {
             rows: vec![FactRow {
                 coords: vec![cs.smith],
                 at: Instant::ym(2003, 7),

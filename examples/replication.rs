@@ -1,21 +1,26 @@
-//! Replication walkthrough: evolve → replicate → kill the primary →
-//! promote a follower → the query answer survives byte-for-byte.
+//! Replication walkthrough: evolve → replicate at quorum → crash the
+//! primary → the group elects a successor → the query answer survives
+//! byte-for-byte → a deposed primary refuses writes.
 //!
-//! Bootstraps a primary on the paper's case study, attaches a follower
-//! over the in-process transport, journals evolutions and fact loads on
-//! the primary while the supervisor ships the WAL frames across. Then
-//! the primary is killed mid-flight; the follower is promoted (epoch
-//! bump + fencing) and answers the paper's Q1 exactly as the primary
-//! would have — from a byte-identical log.
+//! Bootstraps a three-node group (a primary plus members `m1` and `m2`)
+//! on the paper's case study over the in-process transport, and
+//! journals an evolution and a fact load through majority-acknowledged
+//! commits. Then the primary crashes; after a few silent rounds the
+//! supervisor elects the best-placed member, which answers the paper's
+//! Q1 exactly as the primary would have — from a byte-identical log.
+//! The crashed node recovers and rejoins, and an operator failover
+//! hands leadership back to it: the deposed primary is fenced and
+//! refuses a split-brain write.
 //!
 //! ```text
 //! cargo run --example replication
 //! ```
 
+use mvolap::cluster::{ClusterConfig, ClusterEvent, ClusterSet};
 use mvolap::core::case_study;
-use mvolap::durable::{FactRow, Io, WalRecord};
+use mvolap::durable::{FactRow, GroupConfig, Io, Options, WalRecord};
 use mvolap::prelude::*;
-use mvolap::replica::{ChannelTransport, ReplicaConfig, ReplicaError, ReplicaSet};
+use mvolap::replica::{ChannelTransport, ReplicaError};
 
 const Q1: &str = "SELECT sum(Amount) BY year, Org.Division FOR 2001..2004 IN MODE tcm";
 
@@ -36,32 +41,38 @@ fn render(rs: &mvolap::core::ResultSet) -> Vec<String> {
         .collect()
 }
 
+fn q1(set: &ClusterSet<ChannelTransport>) -> Vec<String> {
+    let schema = set.primary().expect("a primary serves").schema();
+    render(&mvolap::query::run(&schema, Q1).expect("query"))
+}
+
 fn main() {
     let base = std::env::temp_dir().join(format!("mvolap_replication_{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
     std::fs::create_dir_all(&base).expect("temp dir");
 
-    // 1. Bootstrap the ensemble: a primary journaling to `base/primary`
-    //    and a follower that will build its own WAL + checkpoint store
-    //    under `base/f1`, fed over an in-process transport.
+    // 1. Bootstrap the group: a primary journaling to `base/primary`
+    //    and two members that build their own WAL + checkpoint stores
+    //    under `base/m1` and `base/m2`, fed over an in-process transport.
     let cs = case_study::case_study();
-    let mut set = ReplicaSet::bootstrap(
+    let mut set = ClusterSet::bootstrap(
         &base,
         cs.tmd,
-        mvolap::durable::Options::default(),
-        ReplicaConfig::default(),
+        Options::default(),
+        GroupConfig::default(),
+        ClusterConfig::default(),
         ChannelTransport::new(),
         Io::plain(),
     )
     .expect("bootstrap primary");
-    set.add_follower("f1", Io::plain());
-    println!("primary + follower f1 under {}", base.display());
+    set.add_member("m1", Io::plain());
+    set.add_member("m2", Io::plain());
+    println!("primary + members m1, m2 under {}", base.display());
 
-    // 2. Evolve and load on the primary; tick the supervisor so the
-    //    frames ship. Every shipped frame is CRC-checked in transit and
-    //    replayed through the same validated apply path the primary
-    //    committed it with.
-    set.apply(WalRecord::Create {
+    // 2. Evolve and load. Each commit returns only once a majority
+    //    (2 of 3) holds it durably; every shipped frame is CRC-checked
+    //    in transit and replayed through the validated apply path.
+    set.commit_quorum(WalRecord::Create {
         dim: cs.org,
         name: "Dpt.NanoTech".into(),
         level: Some("Department".into()),
@@ -69,7 +80,7 @@ fn main() {
         parents: vec![cs.rnd],
     })
     .expect("create member");
-    set.apply(WalRecord::FactBatch {
+    set.commit_quorum(WalRecord::FactBatch {
         rows: vec![
             FactRow {
                 coords: vec![cs.bill],
@@ -84,34 +95,36 @@ fn main() {
         ],
     })
     .expect("fact batch");
-    for _ in 0..8 {
-        set.tick();
-    }
-    let head = set.primary().expect("alive").wal_position();
+    set.run_ticks(2);
+    let p = set.primary().expect("alive");
     println!(
-        "  shipped to LSN {head}: follower at {}, acked {}",
-        set.follower("f1").expect("f1").next_lsn(),
-        set.acked_lsn("f1"),
+        "  head LSN {}, quorum watermark {}, m1 at {}, m2 at {}",
+        p.wal_position(),
+        p.quorum_lsn(),
+        set.member_synced("m1"),
+        set.member_synced("m2"),
     );
-
-    let before =
-        render(&mvolap::query::run(set.primary().expect("alive").schema(), Q1).expect("query"));
+    let before = q1(&set);
     println!("\nQ1 on the primary:");
     for line in &before {
         println!("  {line}");
     }
 
-    // 3. Fail over. The old primary is deposed: promotion bumps the
-    //    epoch and fences it, so a partitioned-but-alive primary can
-    //    never accept a split-brain write. Whatever it acknowledged is
-    //    on the follower already.
-    let epoch = set.promote("f1").expect("promote follower");
-    println!("\nf1 promoted: epoch {epoch}, old primary fenced");
+    // 3. The primary crashes. After `heartbeat_miss_limit` silent
+    //    rounds the supervisor runs a deterministic election: the
+    //    member with the highest (synced LSN, name) wins, and it holds
+    //    every quorum-acknowledged record.
+    drop(set.kill_primary());
+    let elected = set.run_ticks(8).into_iter().find_map(|e| match e {
+        ClusterEvent::Elected { node, epoch } => Some((node, epoch)),
+        _ => None,
+    });
+    let (winner, epoch) = elected.expect("the survivors elect a primary");
+    println!("\nprimary crashed; {winner} elected at epoch {epoch}");
 
-    // 4. The promoted follower answers Q1 identically.
-    let after =
-        render(&mvolap::query::run(set.primary().expect("promoted").schema(), Q1).expect("query"));
-    println!("\nQ1 on the promoted follower:");
+    // 4. The new primary answers Q1 identically.
+    let after = q1(&set);
+    println!("\nQ1 on {winner}:");
     for line in &after {
         println!("  {line}");
     }
@@ -120,9 +133,18 @@ fn main() {
         "failover must preserve every acknowledged answer"
     );
 
-    // 5. Fencing: the deposed primary refuses writes at its stale epoch.
+    // 5. The crashed node recovers from its own directory and rejoins,
+    //    cutting any suffix the group never acknowledged; then an
+    //    operator failover hands leadership back to it.
+    let rejoin = set.rejoin_member("primary").expect("rejoin");
+    set.run_ticks(4);
+    let (back, epoch) = set.elect().expect("operator failover");
+    println!("\nold primary rejoined ({rejoin:?}); {back} leads again at epoch {epoch}");
+    assert_eq!(q1(&set), before, "the handover preserves every answer");
+
+    // 6. Fencing: the deposed primary refuses writes at its stale epoch.
     let retired = set.retired_mut().expect("deposed primary retained");
-    match retired.apply(WalRecord::FactBatch {
+    match retired.commit(WalRecord::FactBatch {
         rows: vec![FactRow {
             coords: vec![cs.smith],
             at: Instant::ym(2003, 7),
@@ -130,13 +152,13 @@ fn main() {
         }],
     }) {
         Err(ReplicaError::Fenced { epoch }) => {
-            println!("\ndeposed primary is fenced (epoch {epoch}): split-brain write refused")
+            println!("\ndeposed {winner} is fenced (epoch {epoch}): split-brain write refused")
         }
         other => panic!("expected Fenced, got {other:?}"),
     }
 
     println!(
-        "\nfailover complete: promoted follower serves the same answers from a byte-identical log."
+        "\nfailover complete: every primary served the same answers from a byte-identical log."
     );
     std::fs::remove_dir_all(&base).ok();
 }

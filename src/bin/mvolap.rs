@@ -46,6 +46,7 @@
 use std::io::{BufRead, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use mvolap::cluster::{LocalCluster, PumpConfig};
 use mvolap::core::case_study::{case_study, case_study_two_measures};
@@ -56,8 +57,8 @@ use mvolap::durable::{
 };
 use mvolap::query::{is_all_modes, parse, run_compare, run_with_versions, QueryError};
 use mvolap::replica::{
-    sync_follower, Clock as _, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError,
-    ReplicaServer, ServerConfig, SystemClock,
+    sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError,
+    ReplicaServer, ServerConfig,
 };
 use mvolap::server::{ServerOptions, SessionClient, SessionServer};
 use mvolap::temporal::Instant;
@@ -339,7 +340,8 @@ fn serve(addr: &NetAddr, dir: &str, schema: Option<Tmd>) -> ! {
         Err(e) => die(&format!("cannot open store at {dir}: {e}")),
     };
     let next_lsn = store.wal_position();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let primary = Arc::new(Mutex::new(PrimaryNode::new("primary", group, 0)));
     let mut server = ReplicaServer::spawn(addr, Arc::clone(&primary), ServerConfig::default())
         .unwrap_or_else(|e| die(&format!("cannot serve on {addr}: {e}")));
     println!(
@@ -357,7 +359,7 @@ fn serve(addr: &NetAddr, dir: &str, schema: Option<Tmd>) -> ! {
         let primary = Arc::clone(&primary);
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
-                SystemClock.sleep_ms(250);
+                std::thread::sleep(Duration::from_millis(250));
                 let mut p = primary.lock().unwrap_or_else(|e| e.into_inner());
                 match p.maybe_checkpoint() {
                     Ok(Some(id)) => println!(
@@ -435,7 +437,7 @@ fn follow(addr: &NetAddr, dir: &str) -> ! {
                 announced = false;
             }
         }
-        SystemClock.sleep_ms(500);
+        std::thread::sleep(Duration::from_millis(500));
     }
     println!("mvolap: follower of {addr} stopped at LSN {}", f.next_lsn());
     std::process::exit(0)
@@ -598,7 +600,7 @@ fn cluster(
             match group.join(name, &maddr) {
                 Ok(lsn) => {
                     println!("joining `{name}` (reconfig journaled at LSN {lsn}); catching up…");
-                    match group.await_membership(std::time::Duration::from_secs(30)) {
+                    match group.await_membership(Duration::from_secs(30)) {
                         Ok(n) => println!("member `{n}` caught up and was promoted to voter"),
                         Err(e) => println!("join stalled: {e}"),
                     }
@@ -610,7 +612,7 @@ fn cluster(
             match group.leave(name) {
                 Ok(lsn) => {
                     println!("removing `{name}` (reconfig journaled at LSN {lsn})…");
-                    match group.await_membership(std::time::Duration::from_secs(30)) {
+                    match group.await_membership(Duration::from_secs(30)) {
                         Ok(n) => println!("member `{n}` removed; reads re-routed"),
                         Err(e) => println!("remove stalled: {e}"),
                     }
