@@ -19,7 +19,6 @@ use std::path::{Path, PathBuf};
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mvolap_core::{MeasureDef, TemporalDimension, Tmd};
 use mvolap_durable::DurableTmd;
-use mvolap_etl::load::{apply_changes_in, bootstrap_in};
 use mvolap_etl::{
     apply_changes, diff, DurableScd, Scd1Dimension, Scd2Dimension, Scd3Dimension, ScdMaintainer,
     Snapshot, SnapshotRow,
@@ -142,10 +141,10 @@ fn durable_mv_run(dir: &Path, stream: &[Snapshot]) -> u64 {
     tmd.add_measure(MeasureDef::summed("Amount"))
         .expect("fresh schema");
     let mut store = DurableTmd::create(dir, tmd).expect("store");
-    bootstrap_in(&mut store, dim, &stream[0]).expect("bootstrap");
+    mvolap_etl::load::bootstrap(&mut store, dim, &stream[0]).expect("bootstrap");
     for pair in stream.windows(2) {
         let events = diff(&pair[0], &pair[1]);
-        apply_changes_in(&mut store, dim, &events, pair[1].period).expect("load");
+        apply_changes(&mut store, dim, &events, pair[1].period).expect("load");
     }
     store.wal_position()
 }

@@ -9,12 +9,13 @@
 //! operation sequence — verified by bit-exact snapshot comparison plus
 //! an aggregate-query fingerprint.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use mvolap_core::case_study;
 use mvolap_core::persist::write_tmd;
-use mvolap_durable::{crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow};
+use mvolap_core::{case_study, evolution, MemberVersionId};
+use mvolap_durable::{
+    crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow, WalRecord,
+};
 use mvolap_temporal::Instant;
 
 fn tmp(name: &str) -> PathBuf {
@@ -22,6 +23,17 @@ fn tmp(name: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A one-row fact batch.
+fn fact(coord: MemberVersionId, at: Instant, value: f64) -> WalRecord {
+    WalRecord::FactBatch {
+        rows: vec![FactRow {
+            coords: vec![coord],
+            at,
+            values: vec![value],
+        }],
+    }
 }
 
 fn snapshot(tmd: &mvolap_core::Tmd) -> Vec<u8> {
@@ -98,13 +110,13 @@ fn journaled_operations_survive_reopen() {
     let mut store = DurableTmd::create(&dir, cs.tmd.clone()).unwrap();
     // One evolution + one fact batch through the journal.
     store
-        .transform_member(
-            cs.org,
-            cs.brian,
-            "Dpt.Brian-renamed",
-            BTreeMap::new(),
-            Instant::ym(2004, 1),
-        )
+        .apply(WalRecord::Transform {
+            dim: cs.org,
+            id: cs.brian,
+            new_name: "Dpt.Brian-renamed".into(),
+            new_attributes: Default::default(),
+            at: Instant::ym(2004, 1),
+        })
         .unwrap();
     let renamed = {
         let d = &store.schema().dimensions()[cs.org.0 as usize];
@@ -113,11 +125,7 @@ fn journaled_operations_survive_reopen() {
             .id
     };
     store
-        .append_facts(vec![FactRow {
-            coords: vec![renamed],
-            at: Instant::ym(2004, 6),
-            values: vec![75.0],
-        }])
+        .apply(fact(renamed, Instant::ym(2004, 6), 75.0))
         .unwrap();
     let before = snapshot(store.schema());
     let lsn = store.wal_position();
@@ -137,20 +145,12 @@ fn checkpoint_plus_tail_equals_full_replay() {
     let cs = case_study::case_study();
     let mut store = DurableTmd::create(&dir, cs.tmd.clone()).unwrap();
     store
-        .append_facts(vec![FactRow {
-            coords: vec![cs.brian],
-            at: Instant::ym(2003, 7),
-            values: vec![10.0],
-        }])
+        .apply(fact(cs.brian, Instant::ym(2003, 7), 10.0))
         .unwrap();
     store.checkpoint().unwrap();
     // Post-checkpoint tail.
     store
-        .append_facts(vec![FactRow {
-            coords: vec![cs.paul],
-            at: Instant::ym(2003, 8),
-            values: vec![20.0],
-        }])
+        .apply(fact(cs.paul, Instant::ym(2003, 8), 20.0))
         .unwrap();
     let before = snapshot(store.schema());
     drop(store);
@@ -169,31 +169,23 @@ fn invalid_operations_leave_no_journal_trace() {
     let lsn = store.wal_position();
     // Non-leaf coordinate: rejected by fact validation.
     let err = store
-        .append_facts(vec![FactRow {
-            coords: vec![cs.sales],
-            at: Instant::ym(2003, 6),
-            values: vec![1.0],
-        }])
+        .apply(fact(cs.sales, Instant::ym(2003, 6), 1.0))
         .unwrap_err();
     assert!(matches!(err, DurableError::Core(_)));
     // Deleting an unknown member: rejected by the clone validation.
     let err = store
-        .delete_member(
-            cs.org,
-            mvolap_core::MemberVersionId(999),
-            Instant::ym(2004, 1),
-        )
+        .apply(WalRecord::Delete {
+            dim: cs.org,
+            id: MemberVersionId(999),
+            at: Instant::ym(2004, 1),
+        })
         .unwrap_err();
     assert!(matches!(err, DurableError::Core(_)));
     assert!(!store.is_poisoned());
     assert_eq!(store.wal_position(), lsn, "nothing may reach the log");
     // The store still works.
     store
-        .append_facts(vec![FactRow {
-            coords: vec![cs.brian],
-            at: Instant::ym(2003, 6),
-            values: vec![5.0],
-        }])
+        .apply(fact(cs.brian, Instant::ym(2003, 6), 5.0))
         .unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -207,21 +199,77 @@ fn confidence_change_survives_recovery() {
     // The case study maps Jones -> Bill with an approximate 0.4 share;
     // revise it to an exact 0.45.
     store
-        .change_confidence(
-            cs.org,
-            cs.jones,
-            cs.bill,
-            vec![mvolap_core::MeasureMapping {
+        .apply(WalRecord::Confidence {
+            dim: cs.org,
+            from: cs.jones,
+            to: cs.bill,
+            forward: vec![mvolap_core::MeasureMapping {
                 func: mvolap_core::MappingFunction::Scale(0.45),
                 confidence: mvolap_core::Confidence::Exact,
             }],
-            vec![mvolap_core::MeasureMapping::EXACT_IDENTITY],
-        )
+            backward: vec![mvolap_core::MeasureMapping::EXACT_IDENTITY],
+        })
         .unwrap();
     let before = snapshot(store.schema());
     drop(store);
     let reopened = DurableTmd::open(&dir).unwrap();
     assert_eq!(snapshot(reopened.schema()), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The complex *Increase* and *Decrease* operators are journaled and
+/// replay from disk to exactly what the core operators build in memory.
+#[test]
+fn increase_and_decrease_survive_recovery() {
+    let dir = tmp("grow_shrink");
+    let cs = case_study::case_study();
+    let at = Instant::ym(2004, 1);
+    let mut expected = cs.tmd.clone();
+    evolution::increase(
+        &mut expected,
+        cs.org,
+        cs.brian,
+        "Dpt.Brian+",
+        1.25,
+        at,
+        &[cs.rnd],
+    )
+    .unwrap();
+    evolution::decrease(
+        &mut expected,
+        cs.org,
+        cs.smith,
+        "Dpt.Smith-",
+        0.75,
+        at,
+        &[cs.rnd],
+    )
+    .unwrap();
+
+    let mut store = DurableTmd::create(&dir, cs.tmd.clone()).unwrap();
+    store
+        .apply(WalRecord::Increase {
+            dim: cs.org,
+            id: cs.brian,
+            new_name: "Dpt.Brian+".into(),
+            factor: 1.25,
+            at,
+            parents: vec![cs.rnd],
+        })
+        .unwrap();
+    store
+        .apply(WalRecord::Decrease {
+            dim: cs.org,
+            id: cs.smith,
+            new_name: "Dpt.Smith-".into(),
+            kept: 0.75,
+            at,
+            parents: vec![cs.rnd],
+        })
+        .unwrap();
+    drop(store);
+    let reopened = DurableTmd::open(&dir).unwrap();
+    assert_eq!(snapshot(reopened.schema()), snapshot(&expected));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -249,8 +297,6 @@ fn create_refuses_to_clobber() {
 /// prune — and plain reopen via the WAL scan, deduped by LSN.
 #[test]
 fn membership_log_survives_checkpoint_pruning_and_reopen() {
-    use mvolap_durable::WalRecord;
-
     let dir = tmp("membership");
     let cs = case_study::case_study();
     let opts = mvolap_durable::Options {
@@ -268,11 +314,7 @@ fn membership_log_survives_checkpoint_pruning_and_reopen() {
     )
     .unwrap();
     store
-        .append_facts(vec![FactRow {
-            coords: vec![cs.brian],
-            at: Instant::ym(2003, 7),
-            values: vec![10.0],
-        }])
+        .apply(fact(cs.brian, Instant::ym(2003, 7), 10.0))
         .unwrap();
     let l_add = store
         .apply(WalRecord::Reconfig {
@@ -286,11 +328,7 @@ fn membership_log_survives_checkpoint_pruning_and_reopen() {
     // active position, so the checkpoint's prune can drop it.
     for month in 1..=10 {
         store
-            .append_facts(vec![FactRow {
-                coords: vec![cs.paul],
-                at: Instant::ym(2004, month),
-                values: vec![20.0],
-            }])
+            .apply(fact(cs.paul, Instant::ym(2004, month), 20.0))
             .unwrap();
     }
     // The checkpoint prunes the WAL frames holding the add; only the

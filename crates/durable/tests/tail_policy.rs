@@ -29,11 +29,13 @@ fn small_opts(policy: CheckpointPolicy) -> Options {
 
 fn load(store: &mut DurableTmd, coord: mvolap_core::MemberVersionId, month: u32, v: f64) {
     store
-        .append_facts(vec![FactRow {
-            coords: vec![coord],
-            at: Instant::ym(2003, month),
-            values: vec![v],
-        }])
+        .apply(WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![coord],
+                at: Instant::ym(2003, month),
+                values: vec![v],
+            }],
+        })
         .unwrap();
 }
 

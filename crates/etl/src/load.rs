@@ -2,11 +2,12 @@
 //!
 //! Each loader is generic over [`EvolutionTarget`], so the same change
 //! stream lands either directly in a [`Tmd`] or — journaled through the
-//! write-ahead log — in a [`mvolap_durable::DurableTmd`]. The original
-//! `Tmd`-taking entry points remain as thin wrappers.
+//! write-ahead log — in a [`mvolap_durable::DurableTmd`]. Every change
+//! is spelled as one [`WalRecord`].
 
 use mvolap_core::evolution::{MergeSource, SplitPart};
 use mvolap_core::{CoreError, DimensionId, MemberVersionId, Result, Tmd};
+use mvolap_durable::WalRecord;
 use mvolap_temporal::Instant;
 
 use crate::snapshot::ChangeEvent;
@@ -75,7 +76,7 @@ fn resolve(tmd: &Tmd, dim: DimensionId, name: &str, t: Instant) -> Result<Member
 ///
 /// Name-resolution failures, evolution-operator violations, and — for a
 /// durable destination — journaling failures.
-pub fn apply_changes_in<T: EvolutionTarget>(
+pub fn apply_changes<T: EvolutionTarget>(
     target: &mut T,
     dim: DimensionId,
     events: &[ChangeEvent],
@@ -106,7 +107,13 @@ pub fn apply_changes_in<T: EvolutionTarget>(
                 },
                 None => Vec::new(),
             };
-            target.create(dim, &row.member, row.level.clone(), at, &parents)?;
+            target.apply(WalRecord::Create {
+                dim,
+                name: row.member.clone(),
+                level: row.level.clone(),
+                at,
+                parents,
+            })?;
             report.created += 1;
         }
         if rest.len() == before {
@@ -126,7 +133,7 @@ pub fn apply_changes_in<T: EvolutionTarget>(
             ChangeEvent::Created { .. } => {} // handled above
             ChangeEvent::Deleted { member } => {
                 let id = resolve(target.schema(), dim, member, at)?;
-                target.delete(dim, id, at)?;
+                target.apply(WalRecord::Delete { dim, id, at })?;
                 report.deleted += 1;
             }
             ChangeEvent::Reclassified {
@@ -135,21 +142,33 @@ pub fn apply_changes_in<T: EvolutionTarget>(
                 new_parent,
             } => {
                 let id = resolve(target.schema(), dim, member, at)?;
-                let old: Vec<MemberVersionId> = match old_parent {
+                let old_parents: Vec<MemberVersionId> = match old_parent {
                     Some(p) => vec![resolve(target.schema(), dim, p, at)?],
                     None => Vec::new(),
                 };
-                let new: Vec<MemberVersionId> = match new_parent {
+                let new_parents: Vec<MemberVersionId> = match new_parent {
                     Some(p) => vec![resolve(target.schema(), dim, p, at)?],
                     None => Vec::new(),
                 };
-                target.reclassify(dim, id, at, &old, &new)?;
+                target.apply(WalRecord::Reclassify {
+                    dim,
+                    id,
+                    at,
+                    old_parents,
+                    new_parents,
+                })?;
                 report.reclassified += 1;
             }
             ChangeEvent::AttributesChanged { member, attributes } => {
                 let id = resolve(target.schema(), dim, member, at)?;
-                let name = target.schema().dimension(dim)?.version(id)?.name.clone();
-                target.transform(dim, id, &name, attributes.clone(), at)?;
+                let new_name = target.schema().dimension(dim)?.version(id)?.name.clone();
+                target.apply(WalRecord::Transform {
+                    dim,
+                    id,
+                    new_name,
+                    new_attributes: attributes.clone(),
+                    at,
+                })?;
                 report.transformed += 1;
             }
         }
@@ -157,31 +176,17 @@ pub fn apply_changes_in<T: EvolutionTarget>(
     Ok(report)
 }
 
-/// [`apply_changes_in`] for a bare [`Tmd`] — the original entry point.
-///
-/// # Errors
-///
-/// As [`apply_changes_in`].
-pub fn apply_changes(
-    tmd: &mut Tmd,
-    dim: DimensionId,
-    events: &[ChangeEvent],
-    at: Instant,
-) -> Result<LoadReport> {
-    apply_changes_in(tmd, dim, events, at)
-}
-
 /// Applies snapshot-diff events with administrator hints: hinted splits
 /// and merges consume their matching `Deleted`/`Created` events and run
 /// the corresponding high-level operator (wiring mapping relationships);
-/// everything left over flows through [`apply_changes_in`].
+/// everything left over flows through [`apply_changes`].
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidEvolution`] when a hint references members the
 /// diff does not actually report as deleted/created; plus everything
-/// [`apply_changes_in`] raises.
-pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
+/// [`apply_changes`] raises.
+pub fn apply_changes_with_hints<T: EvolutionTarget>(
     target: &mut T,
     dim: DimensionId,
     events: &[ChangeEvent],
@@ -231,7 +236,13 @@ pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
                     split_parts.push(SplitPart::proportional(part.clone(), *share, measures));
                 }
                 let source = resolve(target.schema(), dim, member, at)?;
-                target.split(dim, source, split_parts, at, &parents)?;
+                target.apply(WalRecord::Split {
+                    dim,
+                    source,
+                    parts: split_parts,
+                    at,
+                    parents,
+                })?;
                 consumed_deletes.push(member.clone());
                 consumed_creates.extend(parts.iter().map(|(p, _)| p.clone()));
                 report.deleted += 1;
@@ -258,7 +269,14 @@ pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
                     let id = resolve(target.schema(), dim, source, at)?;
                     merge_sources.push(MergeSource::with_share(id, *share, measures));
                 }
-                target.merge(dim, merge_sources, into, row.level.clone(), at, &parents)?;
+                target.apply(WalRecord::Merge {
+                    dim,
+                    sources: merge_sources,
+                    new_name: into.clone(),
+                    level: row.level.clone(),
+                    at,
+                    parents,
+                })?;
                 consumed_deletes.extend(sources.iter().map(|(s, _)| s.clone()));
                 consumed_creates.push(into.clone());
                 report.deleted += sources.len();
@@ -277,28 +295,12 @@ pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
         })
         .cloned()
         .collect();
-    let rest = apply_changes_in(target, dim, &remaining, at)?;
+    let rest = apply_changes(target, dim, &remaining, at)?;
     report.created += rest.created;
     report.deleted += rest.deleted;
     report.reclassified += rest.reclassified;
     report.transformed += rest.transformed;
     Ok(report)
-}
-
-/// [`apply_changes_with_hints_in`] for a bare [`Tmd`] — the original
-/// entry point.
-///
-/// # Errors
-///
-/// As [`apply_changes_with_hints_in`].
-pub fn apply_changes_with_hints(
-    tmd: &mut Tmd,
-    dim: DimensionId,
-    events: &[ChangeEvent],
-    hints: &[EvolutionHint],
-    at: Instant,
-) -> Result<LoadReport> {
-    apply_changes_with_hints_in(tmd, dim, events, hints, at)
 }
 
 /// Bootstraps an empty dimension from its first snapshot: every root
@@ -309,7 +311,7 @@ pub fn apply_changes_with_hints(
 ///
 /// [`CoreError::InvalidEvolution`] when a parent is missing from the
 /// snapshot itself.
-pub fn bootstrap_in<T: EvolutionTarget>(
+pub fn bootstrap<T: EvolutionTarget>(
     target: &mut T,
     dim: DimensionId,
     snapshot: &crate::snapshot::Snapshot,
@@ -333,7 +335,13 @@ pub fn bootstrap_in<T: EvolutionTarget>(
                 },
             };
             let parents: Vec<MemberVersionId> = parent_id.into_iter().collect();
-            target.create(dim, &row.member, row.level.clone(), at, &parents)?;
+            target.apply(WalRecord::Create {
+                dim,
+                name: row.member.clone(),
+                level: row.level.clone(),
+                at,
+                parents,
+            })?;
             report.created += 1;
         }
         if rest.len() == before {
@@ -349,19 +357,6 @@ pub fn bootstrap_in<T: EvolutionTarget>(
         pending = rest;
     }
     Ok(report)
-}
-
-/// [`bootstrap_in`] for a bare [`Tmd`] — the original entry point.
-///
-/// # Errors
-///
-/// As [`bootstrap_in`].
-pub fn bootstrap(
-    tmd: &mut Tmd,
-    dim: DimensionId,
-    snapshot: &crate::snapshot::Snapshot,
-) -> Result<LoadReport> {
-    bootstrap_in(tmd, dim, snapshot)
 }
 
 #[cfg(test)]
@@ -574,19 +569,15 @@ mod tests {
         assert_eq!(tmd.mapping_graph(dim).unwrap().relationships().len(), 1);
     }
 
-    /// The full §5.1 pipeline against a durable destination: bootstrap,
-    /// facts, a hinted split — every step journaled — then recovery from
-    /// disk alone reproduces the identical schema.
-    #[test]
-    fn etl_pipeline_is_journaled_end_to_end() {
-        let dir = std::env::temp_dir().join(format!("mvolap_etl_wal_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let (tmd, dim) = empty_schema();
-        let mut store = DurableTmd::create(&dir, tmd).unwrap();
-
-        bootstrap_in(&mut store, dim, &org_2001()).unwrap();
+    /// The full §5.1 pipeline — bootstrap, facts, a hinted split — run
+    /// into `target`.
+    fn pipeline<T: EvolutionTarget>(target: &mut T, dim: DimensionId) -> LoadReport
+    where
+        T::Error: std::fmt::Debug,
+    {
+        bootstrap(target, dim, &org_2001()).unwrap();
         load_facts(
-            &mut store,
+            target,
             &[FactRecord {
                 coords: vec!["Dpt.Jones".into()],
                 at: Instant::ym(2002, 6),
@@ -608,9 +599,21 @@ mod tests {
             member: "Dpt.Jones".into(),
             parts: vec![("Dpt.Bill".into(), 0.4), ("Dpt.Paul".into(), 0.6)],
         }];
-        let report =
-            apply_changes_with_hints_in(&mut store, dim, &events, &hints, Instant::ym(2003, 1))
-                .unwrap();
+        apply_changes_with_hints(target, dim, &events, &hints, Instant::ym(2003, 1)).unwrap()
+    }
+
+    /// The pipeline against a durable destination: every step is
+    /// journaled, recovery from disk alone reproduces the identical
+    /// schema, and a bare `Tmd` fed the same stream ends byte-identical.
+    #[test]
+    fn etl_pipeline_is_journaled_end_to_end() {
+        let dir = std::env::temp_dir().join(format!("mvolap_etl_wal_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (tmd, dim) = empty_schema();
+        let mut bare = tmd.clone();
+        let mut store = DurableTmd::create(&dir, tmd).unwrap();
+
+        let report = pipeline(&mut store, dim);
         assert_eq!(report.created, 2);
         assert_eq!(report.deleted, 1);
 
@@ -631,6 +634,11 @@ mod tests {
                 .len(),
             2
         );
+
+        assert_eq!(pipeline(&mut bare, dim), report);
+        let mut in_memory = Vec::new();
+        mvolap_core::persist::write_tmd(&bare, &mut in_memory).unwrap();
+        assert_eq!(in_memory, after, "both targets must end byte-identical");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

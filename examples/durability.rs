@@ -13,7 +13,7 @@
 
 use mvolap::core::case_study;
 use mvolap::durable::store::faulty_io;
-use mvolap::durable::{DurableTmd, FactRow, Options};
+use mvolap::durable::{DurableTmd, FactRow, Options, WalRecord};
 use mvolap::prelude::*;
 
 const Q1: &str = "SELECT sum(Amount) BY year, Org.Division FOR 2001..2004 IN MODE tcm";
@@ -50,27 +50,29 @@ fn main() {
     // 2. Evolve and load through the journal: every operation is
     //    validated, appended to the WAL, fsync'd, then applied.
     store
-        .transform_member(
-            cs.org,
-            cs.brian,
-            "Dpt.Brian-NanoTech",
-            std::collections::BTreeMap::new(),
-            Instant::ym(2004, 1),
-        )
+        .apply(WalRecord::Transform {
+            dim: cs.org,
+            id: cs.brian,
+            new_name: "Dpt.Brian-NanoTech".into(),
+            new_attributes: Default::default(),
+            at: Instant::ym(2004, 1),
+        })
         .expect("transform");
     store
-        .append_facts(vec![
-            FactRow {
-                coords: vec![cs.bill],
-                at: Instant::ym(2003, 5),
-                values: vec![55.0],
-            },
-            FactRow {
-                coords: vec![cs.paul],
-                at: Instant::ym(2003, 5),
-                values: vec![80.0],
-            },
-        ])
+        .apply(WalRecord::FactBatch {
+            rows: vec![
+                FactRow {
+                    coords: vec![cs.bill],
+                    at: Instant::ym(2003, 5),
+                    values: vec![55.0],
+                },
+                FactRow {
+                    coords: vec![cs.paul],
+                    at: Instant::ym(2003, 5),
+                    values: vec![80.0],
+                },
+            ],
+        })
         .expect("fact batch");
     println!(
         "  journaled 1 evolution + 1 fact batch, next LSN: {}",
@@ -88,11 +90,13 @@ fn main() {
 
     // 4. Keep working past the checkpoint.
     store
-        .append_facts(vec![FactRow {
-            coords: vec![cs.smith],
-            at: Instant::ym(2003, 6),
-            values: vec![40.0],
-        }])
+        .apply(WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![cs.smith],
+                at: Instant::ym(2003, 6),
+                values: vec![40.0],
+            }],
+        })
         .expect("post-checkpoint batch");
 
     let before = render(&mvolap::query::run(store.schema(), Q1).expect("query"));
@@ -108,11 +112,13 @@ fn main() {
     let mut crashing =
         DurableTmd::open_with(&dir, Options::default(), faulty_io(0, 0xBAD_5EED)).expect("reopen");
     let err = crashing
-        .append_facts(vec![FactRow {
-            coords: vec![cs.smith],
-            at: Instant::ym(2003, 7),
-            values: vec![999.0],
-        }])
+        .apply(WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![cs.smith],
+                at: Instant::ym(2003, 7),
+                values: vec![999.0],
+            }],
+        })
         .expect_err("the injected fault must fire");
     println!("\nsimulated crash during append: {err}");
     drop(crashing); // the torn frame is now on disk
