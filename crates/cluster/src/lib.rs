@@ -33,7 +33,9 @@
 //!   with a bounded in-flight window; [`MemberPump::spawn`] runs one
 //!   on a dedicated thread so commits stop paying a caller's pump
 //!   interval, while [`MemberPump::step`] stays a synchronous hook
-//!   deterministic tests drive directly.
+//!   deterministic tests drive directly. It is the only in-process way
+//!   WAL frames reach a follower, and it never ships past the
+//!   primary's fsynced head.
 //!
 //! The supervisor is deterministic: no wall-clock, no threads — every
 //! protocol step happens inside [`ClusterSet::tick`], which is what

@@ -1,6 +1,7 @@
 //! Cluster integration tests: quorum commit, byte-identical replay,
 //! divergence refusal, deterministic election, fencing,
-//! truncation-on-rejoin, read routing, the async pumps, and the full
+//! truncation-on-rejoin, read routing (fleet forwarding and member
+//! read servers), the async pumps, and the full
 //! fault-injection sweeps (which also cover snapshot bootstrap, member
 //! crash/restart and supervision over loopback TCP).
 
@@ -21,7 +22,7 @@ use mvolap_replica::{
     ChannelTransport, Follower, NetAddr, NetConfig, ReplicaError, ReplicaMsg, ReplicaTransport,
     TailSource, WalTailer,
 };
-use mvolap_server::{ServerError, ServerOptions};
+use mvolap_server::{ServerError, ServerOptions, SessionClient, SessionServer};
 use mvolap_temporal::Instant;
 
 fn tmp(name: &str) -> PathBuf {
@@ -603,18 +604,7 @@ fn served_cluster_quorums_commits_and_routes_reads() {
         other => panic!("expected Unreplicated, got {other:?}"),
     }
 
-    // 2. One caller-driven round reports per-member results — every
-    //    member ships, nobody aborts the round.
-    let round = cluster.pump();
-    assert_eq!(round.len(), 2, "one result slot per member");
-    for (name, res) in &round {
-        let applied = res
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-        assert!(*applied > 0, "{name} applied nothing");
-    }
-
-    // 3. Hand replication to the async pump threads: the same commit
+    // 2. Hand replication to the async pump threads: the same commit
     //    path clears the quorum with nobody driving a loop.
     cluster.spawn_pumps(PumpConfig::default());
     let group = cluster.group();
@@ -631,7 +621,7 @@ fn served_cluster_quorums_commits_and_routes_reads() {
         );
     }
 
-    // 4. Fleet read routing: a bound at the committed LSN is served
+    // 3. Fleet read routing: a bound at the committed LSN is served
     //    by a member (freshness advanced by the pump threads alone);
     //    an unsatisfiable bound is refused naming the freshest member
     //    consulted.
@@ -649,6 +639,207 @@ fn served_cluster_quorums_commits_and_routes_reads() {
         other => panic!("expected TooStale with member, got {other:?}"),
     }
     drop(cluster);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Regression (synced-head rule): with the group commit holding a
+/// batch open on a manual clock, the member pumps must not ship the
+/// appended-but-unsynced record — no member position and no quorum
+/// watermark may pass the primary's fsynced head, or fleet reads
+/// would route on a record the primary could still lose. Once the
+/// clock releases the hold, the commit is acked and the quorum passes
+/// it.
+#[test]
+fn pumps_never_ship_past_the_synced_head_during_a_group_commit_hold() {
+    let dir = tmp("heldcommit");
+    let workload = generate(13, 4);
+    let records = ops(&workload);
+    let clock = TimeSource::manual(0);
+    let loopback = NetAddr::parse("127.0.0.1:0").unwrap();
+    let mut cluster = LocalCluster::start(
+        &dir,
+        workload.seed_schema.clone(),
+        &loopback,
+        &[
+            ("m1".to_string(), loopback.clone()),
+            ("m2".to_string(), loopback.clone()),
+        ],
+        opts(),
+        GroupConfig {
+            hold_ms: 1000,
+            time: clock.clone(),
+        },
+        ServerOptions {
+            quorum_timeout_ms: 30_000,
+            ..ServerOptions::default()
+        },
+        NetConfig::default(),
+    )
+    .expect("cluster starts");
+    cluster.spawn_pumps(PumpConfig::default());
+    let group = cluster.group();
+    let addr = cluster.primary_addr().clone();
+    let commit_on_thread = |record: WalRecord| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            SessionClient::connect(addr, NetConfig::default())
+                .commit(&record)
+                .expect("quorum commit")
+        })
+    };
+    // Parks until the commit thread's record is appended, i.e. the
+    // group-commit leader is holding the batch open.
+    let await_append = |past: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while group.wal_position() <= past {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "commit never appended"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+
+    // Warm-up: one commit through the hold, so every member has
+    // reported a position before the held commit below.
+    let head = group.wal_position();
+    let warm = commit_on_thread(records[0].clone());
+    await_append(head);
+    clock.advance(1000);
+    let warm_lsn = warm.join().expect("commit thread");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while group.member_positions().len() < 2
+        || group.member_positions().iter().any(|(_, p)| *p <= warm_lsn)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "members never acked the warm-up: {:?}",
+            group.member_positions()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    // The held commit: appended, not yet fsynced.
+    let head = group.wal_position();
+    let held = commit_on_thread(records[1].clone());
+    await_append(head);
+    let synced = group.synced_lsn();
+    assert_eq!(synced, head, "the hold keeps the record unsynced");
+    // The watch spans several of each pump's 25 ms idle parks, so each
+    // one steps repeatedly against the held head. Violations are
+    // collected, not asserted, while the batch is held: a panic here
+    // would unwind into the cluster's shutdown, which waits for the
+    // held commit the manual clock never releases.
+    let mut violations = Vec::new();
+    let watch = std::time::Instant::now() + std::time::Duration::from_millis(150);
+    while std::time::Instant::now() < watch && violations.is_empty() {
+        let synced = group.synced_lsn();
+        for (name, pos) in group.member_positions() {
+            if pos > synced {
+                violations.push(format!("{name} acked {pos} past the synced head {synced}"));
+            }
+        }
+        let quorum = group.quorum_lsn();
+        if quorum > synced {
+            violations.push(format!(
+                "quorum watermark {quorum} passed the synced head {synced}"
+            ));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    // Release the hold: the fsync lands, the pumps ship, the quorum
+    // forms and the session is acked.
+    clock.advance(1000);
+    let lsn = held.join().expect("commit thread");
+    assert!(violations.is_empty(), "during the hold: {violations:?}");
+    assert_eq!(lsn, head);
+    assert!(group.quorum_lsn() > lsn, "quorum never passed {lsn}");
+    for (name, status) in cluster.pump_status() {
+        assert!(
+            !matches!(
+                status.state,
+                PumpState::Stalled { .. } | PumpState::Fenced { .. }
+            ),
+            "pump for {name} unhealthy: {:?}",
+            status.state
+        );
+    }
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Read routing on a member read server: a follower behind the
+/// reader's staleness bound refuses with a typed `TooStale`; once a
+/// [`MemberPump`] has caught it up it serves bytes identical to the
+/// primary.
+#[test]
+fn stale_follower_reads_are_refused_then_served_after_catch_up() {
+    const QUERY: &str = "SELECT sum(Amount) BY year, Org.Division FOR 2001..2003 IN MODE tcm";
+    let dir = tmp("member_read");
+    let cs = case_study::case_study();
+    let primary_dir = dir.join("primary");
+    let store = DurableTmd::create(&primary_dir, cs.tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let follower = Follower::create(
+        "reader",
+        dir.join("reader"),
+        Options::default(),
+        Io::plain(),
+    );
+    let server = SessionServer::spawn_with_follower(
+        &NetAddr::parse("127.0.0.1:0").unwrap(),
+        group.clone(),
+        follower,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+
+    let lsn = client
+        .commit(&WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![cs.paul],
+                at: Instant::ym(2003, 2),
+                values: vec![99.0],
+            }],
+        })
+        .unwrap();
+
+    // The follower has applied nothing yet: refused, with the bound
+    // and its actual position in the typed error.
+    match client.read_at(lsn, QUERY) {
+        Err(ServerError::TooStale {
+            required,
+            applied: 0,
+            member: None,
+        }) => assert_eq!(required, lsn),
+        other => panic!("expected TooStale, got {other:?}"),
+    }
+
+    let mut pump = MemberPump::new(
+        PumpShared::new(group, 0),
+        "reader",
+        server.follower_handle().expect("follower attached"),
+        &primary_dir,
+        PumpConfig::default(),
+        PumpTracker::new(),
+    );
+    drive_to_idle(&mut pump);
+    let acked = pump.tracker().status("reader").expect("pump stepped");
+    assert!(
+        acked.acked_lsn > lsn,
+        "follower synced below {lsn}: {acked:?}"
+    );
+
+    let from_follower = client.read_at(lsn, QUERY).unwrap();
+    let from_primary = client.query(QUERY).unwrap();
+    assert_eq!(
+        from_follower, from_primary,
+        "replica read must be bit-identical"
+    );
+
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -374,53 +374,20 @@ fn sweep_options() -> Options {
     }
 }
 
-/// Runs `workload` against a fresh store in `dir`. Returns the number
-/// of records committed and, when the run finished without a fault,
-/// the total number of I/O primitives performed.
-fn run_workload(dir: &Path, workload: &Workload, io: Io) -> Result<(u64, Option<u64>), String> {
-    std::fs::remove_dir_all(dir).ok();
-    let mut store =
-        match DurableTmd::create_with(dir, workload.seed_schema.clone(), sweep_options(), io) {
-            Ok(s) => s,
-            Err(e) if e.is_io_class() => return Ok((0, None)),
-            Err(e) => return Err(format!("create failed non-faultily: {e}")),
-        };
-    let mut committed = 0u64;
-    for step in &workload.steps {
-        let res = match step {
-            Step::Op(record) => store.apply(record.clone()).map(|_| ()),
-            Step::Checkpoint => store.checkpoint().map(|_| ()),
-        };
-        match res {
-            Ok(()) => {
-                if matches!(step, Step::Op(_)) {
-                    committed += 1;
-                }
-            }
-            Err(e) if e.is_io_class() => return Ok((committed, None)),
-            Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
-        }
-    }
-    Ok((committed, Some(store.io_ops())))
-}
-
-fn serialise(tmd: &Tmd) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_tmd(tmd, &mut buf).expect("in-memory serialisation cannot fail");
-    buf
-}
-
-/// Runs `workload` with the group-commit building blocks: records are
-/// appended unsynced and a shared fsync lands after every `sync_every`
-/// records (checkpoints also make everything applied durable). Returns
-/// `(committed, attempted, ops)` — records durably acknowledged by a
-/// completed sync, records applied (possibly awaiting one), and the
+/// Runs `workload` against a fresh store in `dir`. With `sync_every`
+/// `None` every record is acknowledged by its own fsync
+/// ([`DurableTmd::apply`]); with `Some(n)` records are appended
+/// unsynced ([`DurableTmd::apply_unsynced`]) and a shared fsync lands
+/// after every `n` of them and once at the end — the group-commit
+/// building blocks. Checkpoints make everything applied durable either
+/// way. Returns `(committed, attempted, ops)`: records durably
+/// acknowledged, records applied (possibly awaiting a sync), and the
 /// primitive count when the run finished fault-free.
-fn run_workload_batched(
+fn run_workload(
     dir: &Path,
     workload: &Workload,
     io: Io,
-    sync_every: u64,
+    sync_every: Option<u64>,
 ) -> Result<(u64, u64, Option<u64>), String> {
     std::fs::remove_dir_all(dir).ok();
     let mut store =
@@ -431,45 +398,43 @@ fn run_workload_batched(
         };
     let mut committed = 0u64;
     let mut attempted = 0u64;
-    let mut unsynced = 0u64;
     for step in &workload.steps {
-        match step {
-            Step::Op(record) => match store.apply_unsynced(record.clone()) {
-                Ok(_) => {
-                    attempted += 1;
-                    unsynced += 1;
-                    if unsynced >= sync_every {
-                        match store.sync_wal() {
-                            Ok(_) => {
-                                committed = attempted;
-                                unsynced = 0;
-                            }
-                            Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-                            Err(e) => return Err(format!("sync failed non-faultily: {e}")),
-                        }
-                    }
+        let res = match (step, sync_every) {
+            (Step::Op(record), None) => store.apply(record.clone()).map(|_| {
+                attempted += 1;
+                committed = attempted;
+            }),
+            (Step::Op(record), Some(n)) => store.apply_unsynced(record.clone()).and_then(|_| {
+                attempted += 1;
+                if attempted - committed < n {
+                    return Ok(());
                 }
-                Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-                Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
-            },
-            Step::Checkpoint => match store.checkpoint() {
-                Ok(_) => {
-                    // The snapshot durably contains every applied
-                    // record, synced or not.
-                    committed = attempted;
-                    unsynced = 0;
-                }
-                Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-                Err(e) => return Err(format!("checkpoint failed non-faultily: {e}")),
-            },
+                store.sync_wal().map(|_| committed = attempted)
+            }),
+            // The snapshot durably contains every applied record,
+            // synced or not.
+            (Step::Checkpoint, _) => store.checkpoint().map(|_| committed = attempted),
+        };
+        match res {
+            Ok(()) => {}
+            Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
+            Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
         }
     }
-    match store.sync_wal() {
-        Ok(_) => committed = attempted,
-        Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-        Err(e) => return Err(format!("final sync failed non-faultily: {e}")),
+    if sync_every.is_some() {
+        match store.sync_wal() {
+            Ok(_) => committed = attempted,
+            Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
+            Err(e) => return Err(format!("final sync failed non-faultily: {e}")),
+        }
     }
     Ok((committed, attempted, Some(store.io_ops())))
+}
+
+fn serialise(tmd: &Tmd) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_tmd(tmd, &mut buf).expect("in-memory serialisation cannot fail");
+    buf
 }
 
 /// Fingerprints the answer a schema gives to the reference aggregate
@@ -493,7 +458,9 @@ fn query_fingerprint(tmd: &Tmd, org: DimensionId) -> Result<Vec<String>, String>
 }
 
 /// Sweeps every crash point of the seeded workload under `base_dir` and
-/// checks prefix-consistent recovery at each one.
+/// checks prefix-consistent recovery at each one. Every record is
+/// acknowledged by its own fsync, so the recovered schema must equal
+/// prefix state `q` for some `committed ≤ q ≤ committed + 1`.
 ///
 /// # Errors
 ///
@@ -504,100 +471,7 @@ pub fn crash_sweep(
     seed: u64,
     target_records: usize,
 ) -> Result<SweepOutcome, String> {
-    let workload = generate(seed, target_records);
-
-    // Prefix states: serialised schema + query fingerprint after each
-    // committed record. Index q = state after q records.
-    let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
-    let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
-    let mut state = workload.seed_schema.clone();
-    prefix_bytes.push(serialise(&state));
-    prefix_tmds.push(state.clone());
-    for step in &workload.steps {
-        if let Step::Op(record) = step {
-            record
-                .apply(&mut state)
-                .map_err(|e| format!("prefix replay failed: {e}"))?;
-            prefix_bytes.push(serialise(&state));
-            prefix_tmds.push(state.clone());
-        }
-    }
-
-    // Fault-free run: establishes the crash-point count.
-    let free_dir = base_dir.join("fault-free");
-    let (committed, ops) = run_workload(&free_dir, &workload, Io::plain())?;
-    let total_ops = ops.ok_or_else(|| "fault-free run reported a fault".to_owned())?;
-    if committed != workload.records as u64 {
-        return Err(format!(
-            "fault-free run committed {committed}/{} records",
-            workload.records
-        ));
-    }
-    // The fault-free store must recover to its own final state.
-    let reopened = DurableTmd::open(&free_dir).map_err(|e| format!("clean reopen failed: {e}"))?;
-    if serialise(reopened.schema()) != prefix_bytes[workload.records] {
-        return Err("clean reopen diverged from the applied sequence".to_owned());
-    }
-
-    let mut outcome = SweepOutcome {
-        crash_points: total_ops,
-        records: workload.records,
-        ..SweepOutcome::default()
-    };
-
-    let crash_dir = base_dir.join("crash");
-    for k in 0..total_ops {
-        let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let (committed, finished) = run_workload(&crash_dir, &workload, io)?;
-        if finished.is_some() {
-            return Err(format!("crash point {k} never fired (T={total_ops})"));
-        }
-        match DurableTmd::open(&crash_dir) {
-            Err(DurableError::NoStore) => {
-                if committed != 0 {
-                    return Err(format!(
-                        "crash {k}: {committed} committed records but recovery found no store"
-                    ));
-                }
-                outcome.recovered_empty += 1;
-            }
-            Err(e) => {
-                return Err(format!(
-                    "crash {k}: recovery failed ({committed} committed): {e}"
-                ))
-            }
-            Ok(store) => {
-                let got = serialise(store.schema());
-                let committed = committed as usize;
-                let q = (committed..=committed + 1)
-                    .find(|&q| prefix_bytes.get(q) == Some(&got))
-                    .ok_or_else(|| {
-                        format!(
-                            "crash {k}: recovered state is not the applied prefix \
-                             ({committed} committed, {} attempted-at-most)",
-                            committed + 1
-                        )
-                    })?;
-                if q == committed {
-                    outcome.recovered_at_committed += 1;
-                } else {
-                    outcome.recovered_ahead += 1;
-                }
-                // The recovered store must answer queries exactly like
-                // the in-memory prefix replay.
-                let expect = query_fingerprint(&prefix_tmds[q], workload.org)?;
-                let actual = query_fingerprint(store.schema(), workload.org)?;
-                if expect != actual {
-                    return Err(format!(
-                        "crash {k}: recovered store answers differently at prefix {q}"
-                    ));
-                }
-            }
-        }
-    }
-    std::fs::remove_dir_all(&crash_dir).ok();
-    std::fs::remove_dir_all(&free_dir).ok();
-    Ok(outcome)
+    sweep(base_dir, seed, target_records, None)
 }
 
 /// [`crash_sweep`] for the **group-commit path**: the workload runs
@@ -621,8 +495,21 @@ pub fn group_crash_sweep(
     target_records: usize,
     sync_every: u64,
 ) -> Result<SweepOutcome, String> {
+    sweep(base_dir, seed, target_records, Some(sync_every))
+}
+
+/// The one sweep body behind [`crash_sweep`] and [`group_crash_sweep`];
+/// `sync_every` picks the commit path as in [`run_workload`].
+fn sweep(
+    base_dir: &Path,
+    seed: u64,
+    target_records: usize,
+    sync_every: Option<u64>,
+) -> Result<SweepOutcome, String> {
     let workload = generate(seed, target_records);
 
+    // Prefix states: serialised schema + query fingerprint after each
+    // committed record. Index q = state after q records.
     let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
     let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
     let mut state = workload.seed_schema.clone();
@@ -639,20 +526,20 @@ pub fn group_crash_sweep(
     }
 
     // Fault-free run: establishes the crash-point count and proves the
-    // batched path commits everything.
+    // commit path commits everything.
     let free_dir = base_dir.join("fault-free");
-    let (committed, attempted, ops) =
-        run_workload_batched(&free_dir, &workload, Io::plain(), sync_every)?;
+    let (committed, attempted, ops) = run_workload(&free_dir, &workload, Io::plain(), sync_every)?;
     let total_ops = ops.ok_or_else(|| "fault-free run reported a fault".to_owned())?;
     if committed != workload.records as u64 || attempted != committed {
         return Err(format!(
-            "fault-free batched run committed {committed}/{} records",
+            "fault-free run committed {committed}/{} records",
             workload.records
         ));
     }
+    // The fault-free store must recover to its own final state.
     let reopened = DurableTmd::open(&free_dir).map_err(|e| format!("clean reopen failed: {e}"))?;
     if serialise(reopened.schema()) != prefix_bytes[workload.records] {
-        return Err("clean batched reopen diverged from the applied sequence".to_owned());
+        return Err("clean reopen diverged from the applied sequence".to_owned());
     }
 
     let mut outcome = SweepOutcome {
@@ -664,8 +551,7 @@ pub fn group_crash_sweep(
     let crash_dir = base_dir.join("crash");
     for k in 0..total_ops {
         let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let (committed, attempted, finished) =
-            run_workload_batched(&crash_dir, &workload, io, sync_every)?;
+        let (committed, attempted, finished) = run_workload(&crash_dir, &workload, io, sync_every)?;
         if finished.is_some() {
             return Err(format!("crash point {k} never fired (T={total_ops})"));
         }
@@ -686,9 +572,9 @@ pub fn group_crash_sweep(
             Ok(store) => {
                 let got = serialise(store.schema());
                 let committed = committed as usize;
-                // `attempted + 1` slack: the crash may have hit the
-                // write of the next record after a complete frame
-                // reached the disk, exactly as in the classic sweep.
+                // `attempted + 1` slack: the crash may have hit after
+                // the next record's complete frame reached the disk but
+                // before its acknowledgement returned.
                 let hi = (attempted as usize + 1).min(workload.records);
                 let q = (committed..=hi)
                     .find(|&q| prefix_bytes.get(q) == Some(&got))
@@ -703,6 +589,8 @@ pub fn group_crash_sweep(
                 } else {
                     outcome.recovered_ahead += 1;
                 }
+                // The recovered store must answer queries exactly like
+                // the in-memory prefix replay.
                 let expect = query_fingerprint(&prefix_tmds[q], workload.org)?;
                 let actual = query_fingerprint(store.schema(), workload.org)?;
                 if expect != actual {

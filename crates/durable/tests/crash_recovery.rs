@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use mvolap_core::persist::write_tmd;
 use mvolap_core::{case_study, evolution, MemberVersionId};
 use mvolap_durable::{
-    crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow, WalRecord,
+    crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow, SweepOutcome, WalRecord,
 };
 use mvolap_temporal::Instant;
 
@@ -42,6 +42,16 @@ fn snapshot(tmd: &mvolap_core::Tmd) -> Vec<u8> {
     buf
 }
 
+/// `(points, empty, at-committed, ahead)` of a sweep.
+fn outcome_counts(o: &SweepOutcome) -> (u64, u64, u64, u64) {
+    (
+        o.crash_points,
+        o.recovered_empty,
+        o.recovered_at_committed,
+        o.recovered_ahead,
+    )
+}
+
 /// The acceptance criterion: every crash point of the seeded workload
 /// recovers prefix-consistently, and there are at least 200 of them.
 #[test]
@@ -64,6 +74,9 @@ fn crash_sweep_recovers_a_prefix_at_every_point() {
         outcome.recovered_empty + outcome.recovered_at_committed + outcome.recovered_ahead,
         outcome.crash_points
     );
+    // The sweep is deterministic in its seed: pin the exact outcome so
+    // a harness change that shifts a crash point shows up here.
+    assert_eq!(outcome_counts(&outcome), (282, 7, 163, 112));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -74,6 +87,7 @@ fn crash_sweep_holds_under_a_different_seed() {
     let dir = tmp("sweep2");
     let outcome = crash_sweep(&dir, 42, 60).expect("sweep invariant violated");
     assert!(outcome.crash_points >= 120);
+    assert_eq!(outcome_counts(&outcome), (133, 7, 64, 62));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -99,6 +113,7 @@ fn group_commit_crash_sweep_recovers_a_prefix_at_every_point() {
         outcome.recovered_empty + outcome.recovered_at_committed + outcome.recovered_ahead,
         outcome.crash_points
     );
+    assert_eq!(outcome_counts(&outcome), (149, 7, 26, 116));
     std::fs::remove_dir_all(&dir).ok();
 }
 

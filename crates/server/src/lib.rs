@@ -29,10 +29,13 @@
 //!   sync).
 //! - **Read routing.** `read` requests carry an explicit staleness
 //!   bound (`min_lsn`); a server with an attached
-//!   [`mvolap_replica::Follower`] serves them from the replica when it
-//!   is fresh enough and refuses with a typed
-//!   [`ServerError::TooStale`] when it is behind — the client chooses
-//!   between retrying on the primary or relaxing its bound. A server
+//!   [`mvolap_replica::Follower`] (a cluster member's read server)
+//!   serves them from the replica when it is fresh enough and refuses
+//!   with a typed [`ServerError::TooStale`] when it is behind — the
+//!   client chooses between retrying on the primary or relaxing its
+//!   bound. The server only reads the follower; WAL frames reach it
+//!   through [`SessionServer::follower_handle`] from its owner's
+//!   shipping engine (the cluster crate's member pump). A server
 //!   fronting a replication group routes across the remote fleet
 //!   instead ([`SessionServer::spawn_with_fleet`]): the bound is
 //!   checked against each member's quorum-acked position and the read

@@ -1,7 +1,8 @@
 //! The session server: admission gate, a fixed worker pool
 //! multiplexing nonblocking sessions (or the legacy thread-per-session
 //! baseline), request dispatch through the group-committed store, and
-//! read routing — to an optional local follower or across a remote
+//! read routing — to an optional attached follower (which the server
+//! only reads; shipping to it is its owner's job) or across a remote
 //! fleet of members.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -14,7 +15,7 @@ use mvolap_durable::{DurableError, GroupCommit};
 use mvolap_query::{run_compare_par, run_with_versions_par};
 use mvolap_replica::{
     accept_loop, read_frame, stop_listener, write_frame, Follower, NetAddr, NetConfig, NetListener,
-    NetStream, ReplicaMsg,
+    NetStream,
 };
 
 use crate::client::SessionClient;
@@ -83,6 +84,44 @@ pub struct FleetMember {
 pub(crate) struct FleetRouting {
     members: Arc<Mutex<Vec<FleetMember>>>,
     net: NetConfig,
+}
+
+impl FleetRouting {
+    /// Snapshots the member list, each member paired with the highest
+    /// LSN it has quorum-acked — fsynced **and applied**. Membership
+    /// can change under a live server, and a forwarding round-trip must
+    /// not hold the list lock.
+    fn members_acked(&self, commit: &GroupCommit) -> Vec<(FleetMember, u64)> {
+        let positions = commit.member_positions();
+        lock(&self.members)
+            .iter()
+            .map(|m| {
+                // The tracker speaks next-LSN ("synced everything
+                // below"); subtract one to get the highest LSN the
+                // member has applied.
+                let acked = positions
+                    .iter()
+                    .find(|(n, _)| *n == m.name)
+                    .map_or(0, |(_, p)| p.saturating_sub(1));
+                (m.clone(), acked)
+            })
+            .collect()
+    }
+
+    /// Forwards `text` to `member` as a `read` bounded at `min_lsn`,
+    /// counting the forward once it is served.
+    fn forward(
+        &self,
+        ctx: &SessionCtx,
+        member: &FleetMember,
+        min_lsn: u64,
+        text: &str,
+    ) -> Result<String, ServerError> {
+        let mut client = SessionClient::connect(member.addr.clone(), self.net.clone());
+        let out = client.read_at(min_lsn, text)?;
+        ctx.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+        Ok(out)
+    }
 }
 
 /// Locks a mutex, ignoring std's panic-poisoning: a server must keep
@@ -247,8 +286,9 @@ impl SessionServer {
 
     /// Like [`SessionServer::spawn`], with a local read follower:
     /// `read` requests are routed to it when it satisfies the staleness
-    /// bound. The follower only advances when [`SessionServer::pump_follower`]
-    /// is called — tests and the example drive replication explicitly.
+    /// bound. The server only reads the follower; it advances when its
+    /// owner ships WAL frames to it through
+    /// [`SessionServer::follower_handle`] (a cluster member pump).
     ///
     /// # Errors
     ///
@@ -440,67 +480,12 @@ impl SessionServer {
         }
     }
 
-    /// Ships the primary's WAL tail (or a checkpoint snapshot when the
-    /// tail is pruned) to the attached follower and returns the highest
-    /// LSN the follower has applied.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Protocol`] when no follower is attached;
-    /// [`ServerError::Commit`] when the primary log cannot be read;
-    /// [`ServerError::Transport`] when the follower refuses the batch.
-    pub fn pump_follower(&self) -> Result<u64, ServerError> {
-        /// Frames per `Frames` message: the tail is delivered in
-        /// bounded envelopes — the same batch shape the async pump
-        /// ships over the wire — instead of one unbounded message.
-        const PUMP_BATCH: usize = 64;
-        let Some(follower) = &self.follower else {
-            return Err(ServerError::Protocol("no follower attached".to_string()));
-        };
-        let mut f = lock(follower);
-        let epoch = f.epoch();
-        let from = f.next_lsn();
-        let msgs = self.commit.with_store(|s| match s.tail(from) {
-            Ok(frames) => Ok(frames
-                .chunks(PUMP_BATCH)
-                .map(|chunk| ReplicaMsg::Frames {
-                    epoch,
-                    frames: chunk.to_vec(),
-                })
-                .collect::<Vec<_>>()),
-            Err(DurableError::Pruned { .. }) => {
-                let mut snapshot = Vec::new();
-                mvolap_core::persist::write_tmd(s.schema(), &mut snapshot)
-                    .map_err(|e| ServerError::Commit(e.to_string()))?;
-                Ok(vec![ReplicaMsg::Snapshot {
-                    epoch,
-                    next_lsn: s.wal_position(),
-                    snapshot,
-                }])
-            }
-            Err(e) => Err(ServerError::Commit(e.to_string())),
-        })?;
-        for msg in msgs {
-            f.handle(msg).map_err(ServerError::Transport)?;
-        }
-        Ok(f.next_lsn().saturating_sub(1))
-    }
-
-    /// The attached read follower, shared for out-of-band shipping —
-    /// this is the handle an async pump engine delivers envelopes to.
-    /// `None` on servers spawned without a follower.
+    /// The attached read follower, shared for shipping — this is the
+    /// handle a member pump delivers envelopes to. `None` on servers
+    /// spawned without a follower.
     #[must_use]
     pub fn follower_handle(&self) -> Option<Arc<Mutex<Follower>>> {
         self.follower.clone()
-    }
-
-    /// Highest LSN the attached follower has applied (0 when none is
-    /// attached or the follower is empty).
-    pub fn follower_applied(&self) -> u64 {
-        self.follower
-            .as_ref()
-            .map(|f| lock(f).next_lsn().saturating_sub(1))
-            .unwrap_or(0)
     }
 
     /// Stops accepting, joins the poll loop and the worker pool
@@ -621,41 +606,26 @@ fn primary_query(ctx: &SessionCtx, session: u64, text: &str) -> Reply {
 /// watermark.
 fn fleet_query(ctx: &SessionCtx, fleet: &FleetRouting, session: u64, text: &str) -> Reply {
     let bound = ctx.commit.quorum_lsn().saturating_sub(1);
-    let positions = ctx.commit.member_positions();
-    // The tracker speaks next-LSN ("synced everything below");
-    // subtract one to get the highest LSN the member has applied.
-    let acked_of = |name: &str| {
-        positions
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, p)| p.saturating_sub(1))
-    };
-    let members: Vec<FleetMember> = lock(&fleet.members).clone();
+    let members = fleet.members_acked(&ctx.commit);
     if members.is_empty() {
         return primary_query(ctx, session, text);
     }
     let pinned = &members[(session % members.len() as u64) as usize];
-    let target = if acked_of(&pinned.name) >= bound {
+    let target = if pinned.1 >= bound {
         Some(pinned)
     } else {
         members
             .iter()
-            .filter(|m| acked_of(&m.name) >= bound)
-            .max_by_key(|m| (acked_of(&m.name), std::cmp::Reverse(m.name.clone())))
+            .filter(|(_, acked)| *acked >= bound)
+            .max_by_key(|(m, acked)| (*acked, std::cmp::Reverse(m.name.clone())))
     };
-    let Some(target) = target else {
-        return primary_query(ctx, session, text);
-    };
-    let mut client = SessionClient::connect(target.addr.clone(), fleet.net.clone());
-    match client.read_at(bound, text) {
-        Ok(out) => {
-            ctx.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-            Reply::Result(out)
-        }
-        // Any forward failure — the member restarted, refused as stale
-        // after a membership race, or timed out — degrades to the
-        // primary instead of surfacing a routing artefact.
-        Err(_) => primary_query(ctx, session, text),
+    match target.map(|(m, _)| fleet.forward(ctx, m, bound, text)) {
+        Some(Ok(out)) => Reply::Result(out),
+        // Nobody qualifies, or the forward failed — the member
+        // restarted, refused as stale after a membership race, or
+        // timed out: the primary serves instead of surfacing a routing
+        // artefact.
+        _ => primary_query(ctx, session, text),
     }
 }
 
@@ -705,43 +675,23 @@ fn fleet_read(
     min_lsn: u64,
     text: &str,
 ) -> Reply {
-    let positions = ctx.commit.member_positions();
-    // The tracker speaks next-LSN ("synced everything below");
-    // subtract one to get the highest LSN the member has applied.
-    let acked_of = |name: &str| {
-        positions
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, p)| p.saturating_sub(1))
-    };
-    // Snapshot the member list: membership can change under a live
-    // server, and the forwarding round-trip below must not hold the
-    // list lock.
-    let members: Vec<FleetMember> = lock(&fleet.members).clone();
-    let mut best: Option<(&FleetMember, u64)> = None;
-    for m in &members {
-        let acked = acked_of(&m.name);
-        if best.is_none_or(|(b, p)| (acked, m.name.as_str()) > (p, b.name.as_str())) {
-            best = Some((m, acked));
-        }
-    }
-    let Some((freshest, applied)) = best else {
+    let members = fleet.members_acked(&ctx.commit);
+    let freshest = members
+        .iter()
+        .max_by(|(a, x), (b, y)| (x, &a.name).cmp(&(y, &b.name)));
+    let Some((freshest, applied)) = freshest else {
         // An empty fleet: the primary serves, as without a follower.
         return primary_query(ctx, session, text);
     };
-    if applied < min_lsn {
+    if *applied < min_lsn {
         return Reply::Err(ServerError::TooStale {
             required: min_lsn,
-            applied,
+            applied: *applied,
             member: Some(freshest.name.clone()),
         });
     }
-    let mut client = SessionClient::connect(freshest.addr.clone(), fleet.net.clone());
-    match client.read_at(min_lsn, text) {
-        Ok(out) => {
-            ctx.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-            Reply::Result(out)
-        }
+    match fleet.forward(ctx, freshest, min_lsn, text) {
+        Ok(out) => Reply::Result(out),
         Err(e) => Reply::Err(e),
     }
 }

@@ -17,18 +17,16 @@
 //!   session is refused with a typed `Busy`, not an unbounded queue.
 //! - **Mid-query disconnect.** A client vanishing after sending a
 //!   request neither hangs nor poisons the server.
-//! - **Read routing.** A stale follower refuses a bounded read with a
-//!   typed `TooStale`; after catch-up it serves bytes identical to the
-//!   primary.
+//!
+//! Member read servers (a follower attached, caught up by a cluster
+//! pump) are tested with the pumps in `crates/cluster/tests`.
 
 use std::path::PathBuf;
 
 use mvolap_core::case_study::case_study;
 use mvolap_core::persist::write_tmd;
-use mvolap_durable::{
-    DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, TimeSource, WalRecord,
-};
-use mvolap_replica::{Follower, NetAddr, NetConfig, NetStream};
+use mvolap_durable::{DurableTmd, FactRow, GroupCommit, GroupConfig, TimeSource, WalRecord};
+use mvolap_replica::{NetAddr, NetConfig, NetStream};
 use mvolap_server::{proto, Request, ServerError, ServerOptions, SessionClient, SessionServer};
 use mvolap_storage::persist::table_digest;
 use mvolap_temporal::Instant;
@@ -474,62 +472,4 @@ fn mid_query_disconnect_leaves_the_server_serving() {
     assert!(lsn > 0);
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Read routing: a follower behind the reader's staleness bound
-/// refuses with a typed `TooStale`; after `pump_follower` it serves
-/// bytes identical to the primary.
-#[test]
-fn stale_follower_reads_are_refused_then_served_after_catch_up() {
-    let dir = tmp("routing_primary");
-    let fdir = tmp("routing_follower");
-    let cs = case_study();
-    let store = DurableTmd::create(&dir, cs.tmd).unwrap();
-    let group = GroupCommit::new(store, GroupConfig::default());
-    let follower = Follower::create("reader", fdir.clone(), Options::default(), Io::plain());
-    let server = SessionServer::spawn_with_follower(
-        &local_addr(),
-        group,
-        follower,
-        ServerOptions::default(),
-    )
-    .unwrap();
-    let mut client = SessionClient::connect(server.addr().clone(), NetConfig::default());
-
-    let lsn = client
-        .commit(&WalRecord::FactBatch {
-            rows: vec![FactRow {
-                coords: vec![cs.paul],
-                at: Instant::ym(2003, 2),
-                values: vec![99.0],
-            }],
-        })
-        .unwrap();
-
-    // The follower has applied nothing yet: refused, with the bound
-    // and its actual position in the typed error.
-    match client.read_at(lsn, QUERY) {
-        Err(ServerError::TooStale {
-            required, applied, ..
-        }) => {
-            assert_eq!(required, lsn);
-            assert_eq!(applied, 0);
-        }
-        other => panic!("expected TooStale, got {other:?}"),
-    }
-
-    let applied = server.pump_follower().unwrap();
-    assert!(applied >= lsn, "follower applied through {applied}");
-    assert_eq!(server.follower_applied(), applied);
-
-    let from_follower = client.read_at(lsn, QUERY).unwrap();
-    let from_primary = client.query(QUERY).unwrap();
-    assert_eq!(
-        from_follower, from_primary,
-        "replica read must be bit-identical"
-    );
-
-    drop(server);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }

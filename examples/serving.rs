@@ -18,9 +18,10 @@
 //!    query memo absorbing the repeated lookups.
 //! 3. **Follower reads.** A `read` request carries an explicit
 //!    staleness bound: while the follower is behind it is refused with
-//!    the typed `TooStale` error, and after one replication pump the
-//!    same request is served from the follower byte-identically to the
-//!    primary's answer.
+//!    the typed `TooStale` error. The server only reads its follower;
+//!    a [`MemberPump`] stepped until idle ships the primary's fsynced
+//!    WAL tail to it, after which the same request is served from the
+//!    follower byte-identically to the primary's answer.
 //!
 //! ```text
 //! cargo run --example serving
@@ -31,6 +32,7 @@
 //! commit spends no more fsyncs than commits, and the follower read
 //! matches the primary's answer byte-for-byte.
 
+use mvolap::cluster::{MemberPump, PumpConfig, PumpShared, PumpStep, PumpTracker};
 use mvolap::core::case_study;
 use mvolap::durable::{DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, WalRecord};
 use mvolap::prelude::*;
@@ -49,13 +51,9 @@ fn main() {
 
     // 1. Serve the case study with an attached read follower.
     let cs = case_study::case_study();
-    let store = DurableTmd::create_with(
-        &base.join("primary"),
-        cs.tmd,
-        Options::default(),
-        Io::plain(),
-    )
-    .expect("create store");
+    let primary_dir = base.join("primary");
+    let store = DurableTmd::create_with(&primary_dir, cs.tmd, Options::default(), Io::plain())
+        .expect("create store");
     let group = GroupCommit::new(store, GroupConfig::default());
     let follower = Follower::create(
         "reader",
@@ -159,11 +157,28 @@ fn main() {
         other => panic!("expected TooStale, got {other:?}"),
     }
 
-    // ...until one replication pump catches it up, after which the same
-    // bounded read is served from the follower, byte-identical to the
-    // primary's answer.
-    let applied = server.pump_follower().expect("pump follower");
-    println!("follower pumped to LSN {applied}");
+    // ...until a member pump, stepped until idle, ships it the
+    // primary's fsynced tail; the same bounded read is then served from
+    // the follower, byte-identical to the primary's answer.
+    let tracker = PumpTracker::new();
+    let mut pump = MemberPump::new(
+        PumpShared::new(group.clone(), 0),
+        "reader",
+        server.follower_handle().expect("follower attached"),
+        &primary_dir,
+        PumpConfig::default(),
+        tracker.clone(),
+    );
+    let mut steps = 0;
+    loop {
+        match pump.step() {
+            PumpStep::Idle => break,
+            PumpStep::Progress { .. } | PumpStep::Blocked { .. } if steps < 200 => steps += 1,
+            other => panic!("pump never caught the follower up: {other:?}"),
+        }
+    }
+    let acked = tracker.status("reader").map_or(0, |s| s.acked_lsn);
+    println!("follower pumped to LSN {}", acked.saturating_sub(1));
     let from_follower = client.read_at(latest, Q1).expect("follower read");
     let from_primary = client.query(Q1).expect("primary read");
     assert_eq!(

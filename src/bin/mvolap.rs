@@ -564,7 +564,7 @@ fn cluster(
     group.spawn_pumps(PumpConfig::default());
     println!(
         "mvolap — quorum group under `{dir}`: primary on {} ({} members, quorum {}/{}, \
-         async replication). \\join NAME=ADDR, \\leave NAME, \\status, \\pump; `\\q`, \
+         async replication). \\join NAME=ADDR, \\leave NAME, \\status; `\\q`, \
          `quit` or EOF stops.",
         group.primary_addr(),
         members.len(),
@@ -631,37 +631,8 @@ fn cluster(
                 );
             }
             print_pool(&group.primary_stats());
-        } else if line == "\\pump" {
-            // One explicit shipping round over *every* member — an
-            // unpromoted learner still catching up included, labelled
-            // with its role: each slot reports success (its applied
-            // LSN) or exactly why it stalled or was fenced — the
-            // threads keep running regardless.
-            let membership = group.membership();
-            for (name, round) in group.pump() {
-                let role =
-                    membership
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map_or(
-                            "voter",
-                            |&(_, learner)| {
-                                if learner {
-                                    "learner"
-                                } else {
-                                    "voter"
-                                }
-                            },
-                        );
-                match round {
-                    Ok(applied) => {
-                        println!("  {name} ({role}): ok, applied through LSN {applied}");
-                    }
-                    Err(e) => println!("  {name} ({role}): stalled — {e}"),
-                }
-            }
         } else if !line.is_empty() {
-            println!("commands: \\join NAME=ADDR, \\leave NAME, \\status, \\pump, \\q (or `quit`)");
+            println!("commands: \\join NAME=ADDR, \\leave NAME, \\status, \\q (or `quit`)");
         }
         std::io::stdout().flush().ok();
     }
